@@ -7,17 +7,8 @@ whenever the measurement noise (and, for time-varying systems, the
 parameter drift) stays inside known bounds.
 """
 
-from .intervals import (
-    IntervalVector,
-    IntersectionResult,
-    from_bounds,
-    from_center_radius,
-    tightest_image,
-    intersect,
-    translate,
-    contains,
-)
-from .rls import RlsConfig, RlsState, rls_init, rls_step, innovation
+from .intervals import IntervalVector, from_center_radius, contains
+from .rls import RlsConfig, RlsState, rls_init, rls_step
 from .pe import (
     PeReport,
     pe_levels,
@@ -29,14 +20,7 @@ from .pe import (
     eta_q_bound,
     analyze,
 )
-from .lti import (
-    EstimatorConfig,
-    IntervalEstimate,
-    LtiIntervalEstimator,
-    monotonic_update,
-    vertex_oracle,
-)
-from .ltv import DriftBounds, LtvIntervalEstimator, ltv_vertex_oracle
+from .lti import EstimatorConfig, IntervalEstimate, LtiIntervalEstimator
 from .data import Dataset
 from .simulate import SimConfig, generate_lti, generate_ltv
 from .experiment import (

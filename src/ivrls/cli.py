@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -77,19 +78,12 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+# Every SimConfig field except the per-run seed and the drift fields,
+# which only simulate-ltv accepts.
 _SIM_DEFAULTS = {
-    "theta_true": REFERENCE_THETA,
-    "n_a": 2,
-    "n_b": 2,
-    "noise_half_width": 0.2,
-    "horizon": 200,
-    "runs": 100,
-    "lam": 0.99,
-    "p0_scale": 1000.0,
-    "prior_radius": 4.0,
-    "modes": (20, 50, None),
-    "monotonic": True,
-    "workers": 1,
+    f.name: f.default
+    for f in fields(SimConfig)
+    if f.name not in ("seed", "drift_radius", "drift_period")
 }
 
 _LTV_OVERRIDES = {
@@ -98,25 +92,6 @@ _LTV_OVERRIDES = {
     "drift_radius": REFERENCE_DRIFT_RADIUS,
     "drift_period": 30.0,
 }
-
-_CONVERTERS = {
-    "theta_true": _parse_floats,
-    "n_a": int,
-    "n_b": int,
-    "noise_half_width": float,
-    "horizon": int,
-    "runs": int,
-    "lam": float,
-    "p0_scale": float,
-    "prior_radius": float,
-    "modes": _parse_modes,
-    "monotonic": _parse_bool,
-    "workers": int,
-    "drift_radius": _parse_floats,
-    "drift_period": float,
-    "lambdas": _parse_floats,
-}
-
 
 def _add_sim_arguments(sub: argparse.ArgumentParser, ltv: bool) -> None:
     S = argparse.SUPPRESS
@@ -155,18 +130,27 @@ def _add_sim_arguments(sub: argparse.ArgumentParser, ltv: bool) -> None:
                          help="sinusoid period of the drift (default 30)")
 
 
-def _effective_config(args, ltv: bool) -> SimConfig:
+def _effective_config(args, parser: argparse.ArgumentParser, ltv: bool) -> SimConfig:
+    """SimConfig from defaults, then the --config file, then explicit flags.
+
+    File values are converted by the `type` of the flag with the same
+    destination, so the file and the command line accept the same text.
+    """
     defaults = dict(_SIM_DEFAULTS)
     if ltv:
         defaults.update(_LTV_OVERRIDES)
     effective = dict(defaults)
     if getattr(args, "config", None):
+        types = {action.dest: action.type for action in parser._actions}
         for key, raw in _read_config_file(args.config).items():
             if key not in defaults:
                 raise ValueError(
                     f"unknown config key '{key}' (valid: {', '.join(sorted(defaults))})"
                 )
-            effective[key] = _CONVERTERS[key](raw)
+            try:
+                effective[key] = types[key](raw)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from exc
     for key in defaults:
         if hasattr(args, key):
             effective[key] = getattr(args, key)
@@ -187,8 +171,8 @@ def _read_config_file(path) -> dict:
     return data
 
 
-def _cmd_simulate(args, ltv: bool) -> int:
-    config = _effective_config(args, ltv)
+def _cmd_simulate(args, parser, ltv: bool) -> int:
+    config = _effective_config(args, parser, ltv)
     result = run_experiment(config)
     os.makedirs(args.out, exist_ok=True)
     paths = write_experiment(result, args.out)
@@ -255,8 +239,8 @@ def _cmd_analyze_pe(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _effective_config(args, ltv=False)
+def _cmd_sweep(args, parser) -> int:
+    config = _effective_config(args, parser, ltv=False)
     sweep = lambda_sweep(config, args.lambdas)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
@@ -277,11 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate-lti", help="Monte Carlo study, constant parameters")
     _add_sim_arguments(sim, ltv=False)
-    sim.set_defaults(func=lambda a: _cmd_simulate(a, ltv=False))
+    sim.set_defaults(func=lambda a: _cmd_simulate(a, sim, ltv=False))
 
-    ltv = sub.add_parser("simulate-ltv", help="Monte Carlo study, drifting parameters")
-    _add_sim_arguments(ltv, ltv=True)
-    ltv.set_defaults(func=lambda a: _cmd_simulate(a, ltv=True))
+    drifting = sub.add_parser("simulate-ltv", help="Monte Carlo study, drifting parameters")
+    _add_sim_arguments(drifting, ltv=True)
+    drifting.set_defaults(func=lambda a: _cmd_simulate(a, drifting, ltv=True))
 
     est = sub.add_parser("estimate", help="run one estimator over a dataset CSV")
     est.add_argument("--in", dest="input", required=True, help="dataset CSV path")
@@ -313,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_arguments(sweep, ltv=False)
     sweep.add_argument("--lambdas", type=_parse_floats, required=True,
                        help="comma list of forgetting factors")
-    sweep.set_defaults(func=_cmd_sweep)
+    sweep.set_defaults(func=lambda a: _cmd_sweep(a, sweep))
 
     return parser
 

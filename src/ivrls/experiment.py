@@ -20,7 +20,6 @@ import numpy as np
 from .data import Dataset, write_estimates_csv, _fmt
 from .intervals import IntervalVector, from_center_radius
 from .lti import EstimatorConfig, LtiIntervalEstimator
-from .ltv import DriftBounds, LtvIntervalEstimator
 from .rls import RlsConfig
 from .simulate import SimConfig, generate_lti, generate_ltv
 
@@ -128,15 +127,15 @@ class ExperimentResult:
 def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
     """Apply every configured estimator mode to one dataset, in row order."""
     n = dataset.n
+    drifts = [None] * dataset.N
+    if dataset.is_ltv:
+        drifts = [IntervalVector(*b) for b in zip(dataset.delta_low, dataset.delta_high)]
     traces = []
     for m in config.modes:
         est_cfg = estimator_config(
             n, config.lam, config.p0_scale, config.prior_radius, m, config.monotonic
         )
-        if dataset.is_ltv:
-            est = LtvIntervalEstimator(est_cfg)
-        else:
-            est = LtiIntervalEstimator(est_cfg)
+        est = LtiIntervalEstimator(est_cfg)
         N = dataset.N
         point = np.zeros((N, n))
         center = np.zeros((N, n))
@@ -147,22 +146,9 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
         mono_upper = np.zeros((N, n)) if config.monotonic else None
         inconsistent = np.zeros(N, dtype=int)
         for i in range(N):
-            if dataset.is_ltv:
-                drift = DriftBounds(
-                    0.5 * (dataset.delta_low[i] + dataset.delta_high[i]),
-                    0.5 * (dataset.delta_high[i] - dataset.delta_low[i]),
-                )
-                est_out = est.step(
-                    dataset.X[i],
-                    dataset.y[i],
-                    dataset.v_low[i],
-                    dataset.v_high[i],
-                    drift,
-                )
-            else:
-                est_out = est.step(
-                    dataset.X[i], dataset.y[i], dataset.v_low[i], dataset.v_high[i]
-                )
+            est_out = est.step(
+                dataset.X[i], dataset.y[i], dataset.v_low[i], dataset.v_high[i], drifts[i]
+            )
             point[i] = est_out.point
             center[i] = est_out.raw.center
             radius[i] = est_out.raw.radius

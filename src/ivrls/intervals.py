@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "IntervalVector",
-    "IntersectionResult",
-    "from_bounds",
-    "from_center_radius",
-    "tightest_image",
-    "intersect",
-    "translate",
-    "contains",
-]
+__all__ = ["IntervalVector", "from_center_radius", "contains"]
 
 
 def _vector(value, name: str) -> np.ndarray:
@@ -48,7 +39,7 @@ class IntervalVector:
                 f"dimension mismatch: lower has {lo.shape[0]} components, "
                 f"upper has {hi.shape[0]}"
             )
-        bad = np.flatnonzero(~(lo <= hi))
+        bad = np.flatnonzero(~((lo <= hi) & np.isfinite(lo) & np.isfinite(hi)))
         if bad.size:
             raise ValueError(
                 f"bound inversion (lower > upper, or non-finite bound) at "
@@ -78,19 +69,11 @@ class IntervalVector:
     def contains(self, point, slack: float = 0.0) -> bool:
         return contains(self, point, slack)
 
-    def translate(self, offset) -> "IntervalVector":
-        return translate(self, offset)
-
     def __repr__(self) -> str:
         pairs = ", ".join(
             f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.lower, self.upper)
         )
         return f"IntervalVector({pairs})"
-
-
-def from_bounds(lower, upper) -> IntervalVector:
-    """Box from its bound pair; rejects lower > upper in any component."""
-    return IntervalVector(lower, upper)
 
 
 def from_center_radius(center, radius) -> IntervalVector:
@@ -103,68 +86,6 @@ def from_center_radius(center, radius) -> IntervalVector:
             f"radius has {r.shape[0]}"
         )
     return IntervalVector(c - r, c + r)
-
-
-def tightest_image(M, box: IntervalVector) -> IntervalVector:
-    """Smallest box containing {M z : z in box}.
-
-    For a fixed matrix the image of a box under z -> M z has the exact
-    componentwise hull with center M c and radius |M| r, where (c, r) is
-    the center/radius view of the input and |M| is the entrywise absolute
-    value.  Every bound is attained at some vertex of the input box.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"M must be a matrix, got shape {M.shape}")
-    if M.shape[1] != box.dim:
-        raise ValueError(
-            f"dimension mismatch: M has {M.shape[1]} columns, box has "
-            f"{box.dim} components"
-        )
-    center = M @ box.center
-    radius = np.abs(M) @ box.radius
-    return IntervalVector(center - radius, center + radius)
-
-
-@dataclass(frozen=True, eq=False)
-class IntersectionResult:
-    """Componentwise intersection with emptiness reported, not raised."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    empty_components: np.ndarray
-
-    @property
-    def is_empty(self) -> bool:
-        return self.empty_components.size > 0
-
-    def box(self) -> IntervalVector:
-        if self.is_empty:
-            raise ValueError(
-                f"intersection is empty in components "
-                f"{self.empty_components.tolist()}"
-            )
-        return IntervalVector(self.lower, self.upper)
-
-
-def intersect(a: IntervalVector, b: IntervalVector) -> IntersectionResult:
-    """Componentwise intersection of two boxes of equal dimension."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    lo = np.maximum(a.lower, b.lower)
-    hi = np.minimum(a.upper, b.upper)
-    return IntersectionResult(lo, hi, np.flatnonzero(lo > hi))
-
-
-def translate(box: IntervalVector, offset) -> IntervalVector:
-    """Shift a box by a fixed vector; radius is unchanged."""
-    d = _vector(offset, "offset")
-    if d.shape[0] != box.dim:
-        raise ValueError(
-            f"dimension mismatch: offset has {d.shape[0]} components, box has "
-            f"{box.dim}"
-        )
-    return IntervalVector(box.lower + d, box.upper + d)
 
 
 def contains(box: IntervalVector, point, slack: float = 0.0) -> bool:

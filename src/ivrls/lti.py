@@ -1,4 +1,4 @@
-"""Interval-valued estimation around the RLS identifier, constant parameters.
+"""Interval-valued estimation around the RLS identifier.
 
 For y(t) = x(t)' theta + v(t) with v(t) in a known interval, the RLS
 estimation error err(t) = theta(t) - theta obeys
@@ -22,11 +22,26 @@ center recursion at the prior center makes c(t) = theta(t) minus the
 center of the error box, so [c(t) - r(t), c(t) + r(t)] is itself the
 guaranteed parameter box.
 
+A slowly varying parameter theta(t) = theta(t-1) + delta(t), with each
+increment delta(t) confined to a known box, turns the error recursion
+into
+
+    err(t) = A(t) err(t-1) + B(t) w(t),
+    B(t) = [q(t), -A(t)]  (n x (n+1)),   w(t) = (v(t), delta(t)),
+
+because this step's target is theta(t-1) + delta(t): the increment
+shifts the previous error by -delta(t) before the measurement update,
+and A(t) acts on that shift.  The same machinery carries over with the
+scalar term q(t) v(t) replaced by the (n+1)-column block B(t) w(t): the
+center recursion gains the feedthrough A(t) c_delta(t), and the radius
+formulas apply |Phi(t,k) B(k)| to the stacked radii (r_v(k), r_delta(k)).
+Constant parameters are the case without a drift block.
+
 Exact mode keeps every propagated term, so its per-step cost grows
 linearly with t.  Windowed mode (truncation horizon m) restarts the
 convolution every step from the stored radius m steps back:
 
-    r_m(t) = |Phi(t,t-m)| r_m(t-m) + sum_{k=t-m+1}^{t} |Phi(t,k) q(k)| r_v(k)
+    r_m(t) = |Phi(t,t-m)| r_m(t-m) + sum_{k=t-m+1}^{t} |Phi(t,k) B(k)| r_w(k)
 
 for t > m (exact formula below that).  The windowed radius dominates the
 exact one componentwise, so soundness is preserved at bounded cost; the
@@ -34,33 +49,36 @@ excitation diagnostics certify boundedness of the recursion itself once
 m exceeds their threshold.
 
 An optional monotonic post-processor intersects each instantaneous box
-with the running one (valid because a constant parameter lies in all of
-them), giving componentwise nonincreasing widths.  If an intersection
-comes up empty the declared noise bounds were violated; the refined box
-freezes at the last consistent value and every subsequent estimate
-carries an inconsistency flag, while the raw pipeline keeps running.
+with the running one.  A constant parameter lies in all of them; a
+drifting one may move by the admissible increment, so the running bounds
+are first translated by the drift box:
+
+    p_lo(t) = max(p_lo(t-1) + delta_lo(t), raw_lo(t))
+    p_hi(t) = min(p_hi(t-1) + delta_hi(t), raw_hi(t))
+
+This gives componentwise nonincreasing widths without drift.  If an
+intersection comes up empty the declared bounds were violated; the
+refined box freezes at the last consistent value and every subsequent
+estimate carries an inconsistency flag, while the raw pipeline keeps
+running.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import IntervalVector, _vector
+from .intervals import IntervalVector
 from .rls import RlsConfig, RlsState, rls_init, rls_step
 
 __all__ = [
     "EstimatorConfig",
     "IntervalEstimate",
     "LtiIntervalEstimator",
-    "monotonic_update",
-    "vertex_oracle",
 ]
-
-_ORACLE_MAX_VERTEX_DIM = 20
-_ORACLE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,36 +132,37 @@ class IntervalEstimate:
     inconsistent: bool
 
 
-def monotonic_update(bounds, instantaneous: IntervalVector):
-    """One application of the running-intersection recursion.
+def _refine(bounds, raw: IntervalVector, drift: IntervalVector | None):
+    """One step of the running intersection of the refined bounds.
 
-    bounds is the (lower, upper) pair carried so far.  Returns
-    (lower, upper, inverted) with the componentwise max of lowers and min
-    of uppers, and the indices where the result is empty (lower > upper).
-    The caller decides what to do on inversion; this function never
-    raises for it.
+    bounds is the (lower, upper) pair carried so far; a drift box first
+    translates it by the admissible increment.  Returns the new pair, or
+    None when the intersection is empty in some component.
     """
-    lo_prev, hi_prev = bounds
-    lo = np.maximum(lo_prev, instantaneous.lower)
-    hi = np.minimum(hi_prev, instantaneous.upper)
-    return lo, hi, np.flatnonzero(lo > hi)
+    lo, hi = bounds
+    if drift is not None:
+        lo = lo + drift.lower
+        hi = hi + drift.upper
+    lo = np.maximum(lo, raw.lower)
+    hi = np.minimum(hi, raw.upper)
+    return None if np.any(lo > hi) else (lo, hi)
 
 
 class _RadiusRecursion:
     """Propagates the convolution terms of the radius formula.
 
     Exact mode (window=None) carries Phi(t,0) and every term
-    Phi(t,k) C(k): at time t that is one n x n matrix plus t stored
-    term blocks of width `term_width`.  Windowed mode keeps ring buffers
-    of the last `window` term blocks, the staggered products
-    Phi(t, t-j) for j = 1..window, and the last `window` radius vectors,
-    anchoring each step at |Phi(t, t-window)| r(t-window).
+    Phi(t,k) B(k): at time t that is one n x n matrix plus t stored
+    term blocks of width `term_width`, which the first step fixes.
+    Windowed mode keeps ring buffers of the last `window` term blocks,
+    the staggered products Phi(t, t-j) for j = 1..window, and the last
+    `window` radius vectors, anchoring each step at
+    |Phi(t, t-window)| r(t-window).
     """
 
-    def __init__(self, n, prior_radius, window, term_width, max_exact_horizon):
-        self.n = n
+    def __init__(self, n, prior_radius, window, max_exact_horizon):
         self.window = window
-        self.term_width = term_width
+        self.term_width = None
         self.max_exact_horizon = max_exact_horizon
         self.t = 0
         self.prior_radius = np.asarray(prior_radius, dtype=float).copy()
@@ -154,15 +173,14 @@ class _RadiusRecursion:
             # stagger[j-1] = Phi(t, t-j); radius_ring[0] = r(t-window) once full
             self.stagger = np.zeros((0, n, n))
             self.radius_ring = deque(maxlen=window)
-        self.last_radius = self.prior_radius.copy()
 
     @property
     def stored_terms(self) -> int:
-        return self.terms.shape[1] // self.term_width
+        return self.terms.shape[1] // (self.term_width or 1)
 
     def step(self, A, term, term_radius) -> np.ndarray:
         m = self.window
-        w = self.term_width
+        w = self.term_width = term.shape[1]
         self.t += 1
         if m is None and self.t > self.max_exact_horizon:
             raise RuntimeError(
@@ -185,27 +203,27 @@ class _RadiusRecursion:
         radius = radius + np.abs(self.terms) @ self.term_radii
         if m is not None:
             self.radius_ring.append(radius)
-        self.last_radius = radius
         return radius
 
 
 class LtiIntervalEstimator:
-    """Streaming interval estimator for a constant parameter vector."""
+    """Streaming interval estimator for a constant or drifting parameter vector.
+
+    Every step either carries a drift box or none does: the first step
+    fixes which, because the stored terms of the two cases differ in width.
+    """
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
-        n = config.rls.n
         self._rls_state = rls_init(config.rls)
         self._center = config.theta_prior.center
         self._engine = _RadiusRecursion(
-            n,
+            config.rls.n,
             config.theta_prior.radius,
             config.m,
-            1,
             config.max_exact_horizon,
         )
-        self._mono_lower = config.theta_prior.lower.copy()
-        self._mono_upper = config.theta_prior.upper.copy()
+        self._mono = (config.theta_prior.lower.copy(), config.theta_prior.upper.copy())
         self._inconsistent = False
 
     @property
@@ -220,26 +238,53 @@ class LtiIntervalEstimator:
     def inconsistent(self) -> bool:
         return self._inconsistent
 
-    def _noise_interval(self, v_low, v_high):
+    def step(
+        self, x, y, v_low, v_high, drift: IntervalVector | None = None
+    ) -> IntervalEstimate:
+        """Process one sample; the noise at this step lies in [v_low, v_high].
+
+        drift, when given, bounds the increment theta(t) - theta(t-1).
+        """
         v_low = float(v_low)
         v_high = float(v_high)
-        if not (np.isfinite(v_low) and np.isfinite(v_high)):
+        if not (math.isfinite(v_low) and math.isfinite(v_high)):
             raise ValueError(f"noise bounds must be finite, got [{v_low}, {v_high}]")
         if v_low > v_high:
             raise ValueError(f"noise bound inversion: [{v_low}, {v_high}]")
-        return 0.5 * (v_low + v_high), 0.5 * (v_high - v_low)
-
-    def step(self, x, y, v_low, v_high) -> IntervalEstimate:
-        """Process one sample; the noise at this step lies in [v_low, v_high]."""
-        c_v, r_v = self._noise_interval(v_low, v_high)
+        width = 1
+        if drift is not None:
+            n = self.config.rls.n
+            if drift.dim != n:
+                raise ValueError(f"drift has {drift.dim} components, expected {n}")
+            width = n + 1
+        if self._engine.term_width not in (None, width):
+            given = "given" if drift is not None else "missing"
+            raise ValueError(f"step {self.t + 1}: drift box {given}, unlike earlier steps")
+        c_v = 0.5 * (v_low + v_high)
+        r_v = 0.5 * (v_high - v_low)
         state = rls_step(self._rls_state, x, y)
         self._rls_state = state
         A = state.last_A
         q = state.last_q
         self._center = A @ self._center + q * (float(y) - c_v)
-        radius = self._engine.step(A, q[:, None], np.array([r_v]))
+        if drift is None:
+            term = q[:, None]
+            term_radius = np.array([r_v])
+        else:
+            self._center = self._center + A @ drift.center
+            term = np.concatenate([q[:, None], -A], axis=1)
+            term_radius = np.concatenate([[r_v], drift.radius])
+        radius = self._engine.step(A, term, term_radius)
         raw = IntervalVector(self._center - radius, self._center + radius)
-        refined = self._refine(raw) if self.config.monotonic else None
+        refined = None
+        if self.config.monotonic:
+            if not self._inconsistent:
+                bounds = _refine(self._mono, raw, drift)
+                if bounds is None:
+                    self._inconsistent = True
+                else:
+                    self._mono = bounds
+            refined = IntervalVector(*self._mono)
         return IntervalEstimate(
             t=state.t,
             point=state.theta.copy(),
@@ -247,113 +292,3 @@ class LtiIntervalEstimator:
             refined=refined,
             inconsistent=self._inconsistent,
         )
-
-    def _refine(self, raw: IntervalVector) -> IntervalVector:
-        if not self._inconsistent:
-            lo, hi, inverted = monotonic_update(
-                (self._mono_lower, self._mono_upper), raw
-            )
-            if inverted.size:
-                self._inconsistent = True
-            else:
-                self._mono_lower, self._mono_upper = lo, hi
-        return IntervalVector(self._mono_lower, self._mono_upper)
-
-
-def _sign_patterns(dim: int, start: int, count: int) -> np.ndarray:
-    idx = np.arange(start, start + count, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(dim)) & 1
-    return np.where(bits == 1, 1.0, -1.0)
-
-
-def _box_hull_of_image(M: np.ndarray, center: np.ndarray, radius: np.ndarray):
-    """Min/max of M z over all vertices of the box (center, radius).
-
-    Enumerates all 2^d sign patterns in chunks; d is capped by the
-    caller.  Returns (lo, hi) of the image hull.
-    """
-    d = center.shape[0]
-    lo = np.full(M.shape[0], np.inf)
-    hi = np.full(M.shape[0], -np.inf)
-    total = 1 << d
-    for start in range(0, total, _ORACLE_CHUNK):
-        count = min(_ORACLE_CHUNK, total - start)
-        signs = _sign_patterns(d, start, count)
-        images = (center + signs * radius) @ M.T
-        lo = np.minimum(lo, images.min(axis=0))
-        hi = np.maximum(hi, images.max(axis=0))
-    return lo, hi
-
-
-def _replay_transitions(rls_config: RlsConfig, X: np.ndarray, y: np.ndarray):
-    """Run the identifier over the data, returning (theta_t, A's, q's)."""
-    state = rls_init(rls_config)
-    As = []
-    qs = []
-    for k in range(X.shape[0]):
-        state = rls_step(state, X[k], y[k])
-        As.append(state.last_A)
-        qs.append(state.last_q)
-    return state.theta, As, qs
-
-
-def _transition_products(As: list[np.ndarray], n: int) -> list[np.ndarray]:
-    """Phi(t, k) = A(t) ... A(k+1) for k = 0..t, built by direct right-to-left
-    accumulation rather than the estimator's incremental left products."""
-    t = len(As)
-    phis = [np.eye(n)] * (t + 1)
-    for k in range(t - 1, -1, -1):
-        phis[k] = phis[k + 1] @ As[k]
-    return phis
-
-
-def vertex_oracle(
-    X, y, v_bounds, theta_prior: IntervalVector, rls_config: RlsConfig
-) -> IntervalVector:
-    """Brute-force reference for the exact interval estimate at t = len(X).
-
-    Assembles the full affine error map
-
-        err(t) = [Phi(t,0), Phi(t,1) q(1), ..., Phi(t,t) q(t)] z,
-        z = (err(0), v(1), ..., v(t)),
-
-    with the transition products computed directly, then enumerates every
-    vertex of the prior-error x noise box and hulls the images.  The
-    returned box is theta(t) - hull, the guaranteed parameter box.
-    Enumeration is exponential in n + t, so n + t <= 20 is enforced.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = rls_config.n
-    if X.size == 0:
-        X = X.reshape(0, n)
-    if X.shape[1] != n:
-        raise ValueError(f"X must have {n} columns, got {X.shape[1]}")
-    t = X.shape[0]
-    if n + t > _ORACLE_MAX_VERTEX_DIM:
-        raise ValueError(
-            f"vertex enumeration over {n + t} dimensions refused "
-            f"(cap {_ORACLE_MAX_VERTEX_DIM})"
-        )
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    vb = np.asarray(v_bounds, dtype=float).reshape(t, 2) if t else np.zeros((0, 2))
-    if y.shape[0] != t:
-        raise ValueError(f"y must have {t} entries, got {y.shape[0]}")
-    if np.any(vb[:, 0] > vb[:, 1]):
-        raise ValueError("noise bound inversion in v_bounds")
-    if theta_prior.dim != n:
-        raise ValueError(
-            f"theta_prior has {theta_prior.dim} components, expected {n}"
-        )
-
-    theta_t, As, qs = _replay_transitions(rls_config, X, y)
-    phis = _transition_products(As, n)
-    columns = [phis[0]] + [(phis[k] @ qs[k - 1])[:, None] for k in range(1, t + 1)]
-    M = np.concatenate(columns, axis=1)
-
-    # err(0) = theta(0) - theta ranges over theta(0) - prior, reversed.
-    z_center = np.concatenate(
-        [rls_config.theta0 - theta_prior.center, 0.5 * (vb[:, 0] + vb[:, 1])]
-    )
-    z_radius = np.concatenate([theta_prior.radius, 0.5 * (vb[:, 1] - vb[:, 0])])
-    err_lo, err_hi = _box_hull_of_image(M, z_center, z_radius)
-    return IntervalVector(theta_t - err_hi, theta_t - err_lo)

@@ -20,6 +20,7 @@ States are immutable; `rls_step` returns a new state.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .intervals import _vector
 
-__all__ = ["RlsConfig", "RlsState", "rls_init", "rls_step", "innovation"]
+__all__ = ["RlsConfig", "RlsState", "rls_init", "rls_step"]
 
 _SPD_RTOL = 1e-12
 
@@ -135,6 +136,10 @@ def rls_step(state: RlsState, x, y: float) -> RlsState:
     theta = state.theta + q * (y - x @ state.theta)
     P = (state.P - np.outer(q, Px)) / lam
     P = 0.5 * (P + P.T)
+    if not math.isfinite(P.sum()):
+        raise ArithmeticError(
+            f"covariance overflow at t={state.t + 1}: P is no longer finite"
+        )
     A = np.eye(n) - np.outer(q, x)
     return RlsState(
         config=state.config,
@@ -145,12 +150,3 @@ def rls_step(state: RlsState, x, y: float) -> RlsState:
         last_A=A,
     )
 
-
-def innovation(state: RlsState, x, y: float) -> float:
-    """Prediction error y - x' theta(t) of the current state on a new sample."""
-    x = _vector(x, "x")
-    if x.shape[0] != state.config.n:
-        raise ValueError(
-            f"x must have {state.config.n} components, got {x.shape[0]}"
-        )
-    return float(y - x @ state.theta)

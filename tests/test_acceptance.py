@@ -20,9 +20,8 @@ from ivrls.experiment import (
     run_dataset,
     run_experiment,
 )
-from ivrls.intervals import from_center_radius
-from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, vertex_oracle
-from ivrls.ltv import DriftBounds, LtvIntervalEstimator, ltv_vertex_oracle
+from ivrls.intervals import IntervalVector, from_center_radius
+from ivrls.lti import EstimatorConfig, LtiIntervalEstimator
 from ivrls.pe import (
     analyze,
     asymptotic_radius_bound,
@@ -34,7 +33,7 @@ from ivrls.pe import (
 from ivrls.rls import RlsConfig
 from ivrls.simulate import REFERENCE_DRIFT_RADIUS, REFERENCE_THETA, SimConfig, generate_lti
 
-from helpers import batch_rls, collect_run, phi_product
+from helpers import batch_rls, collect_run, phi_product, vertex_oracle
 
 SEED = 20260823
 THETA = np.array(REFERENCE_THETA)
@@ -174,21 +173,20 @@ def test_criterion_04_oracle_equivalence():
         v = rng.uniform(-0.2, 0.2, size=t)
         v_bounds = np.column_stack([np.full(t, -0.2), np.full(t, 0.2)])
         drifts = [
-            DriftBounds(
-                center=rng.uniform(-0.01, 0.01, size=n),
-                radius=rng.uniform(0.0, 0.02, size=n),
+            from_center_radius(
+                rng.uniform(-0.01, 0.01, size=n), rng.uniform(0.0, 0.02, size=n)
             )
             for _ in range(t)
         ]
         y = np.empty(t)
         cur = theta.copy()
         rls = RlsConfig(theta0=np.zeros(n), P0=10.0 * np.eye(n), lam=0.9)
-        est = LtvIntervalEstimator(EstimatorConfig(rls=rls, theta_prior=prior))
+        est = LtiIntervalEstimator(EstimatorConfig(rls=rls, theta_prior=prior))
         for k in range(t):
             cur = cur + drifts[k].center
             y[k] = X[k] @ cur + v[k]
             out = est.step(X[k], y[k], -0.2, 0.2, drifts[k])
-        ref = ltv_vertex_oracle(X, y, v_bounds, drifts, prior, rls)
+        ref = vertex_oracle(X, y, v_bounds, prior, rls, drifts)
         np.testing.assert_allclose(out.raw.lower, ref.lower, atol=1e-10)
         np.testing.assert_allclose(out.raw.upper, ref.upper, atol=1e-10)
 
@@ -350,13 +348,13 @@ def test_criterion_12_drifting_parameters():
 
     # zero drift must collapse to the constant-parameter estimator
     ds = generate_lti(STUDY, seed=SEED)
-    zero = DriftBounds(center=np.zeros(4), radius=np.zeros(4))
+    zero = IntervalVector(np.zeros(4), np.zeros(4))
     ecfg = estimator_config(4, 0.99, 1000.0, 4.0, m=None, monotonic=True)
-    lti_est = LtiIntervalEstimator(ecfg)
-    ltv_est = LtvIntervalEstimator(ecfg)
+    plain_est = LtiIntervalEstimator(ecfg)
+    drift_est = LtiIntervalEstimator(ecfg)
     for i in range(ds.N):
-        a = lti_est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i])
-        b = ltv_est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], zero)
+        a = plain_est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i])
+        b = drift_est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], zero)
         for box_a, box_b in ((a.raw, b.raw), (a.refined, b.refined)):
             assert np.abs(box_a.lower - box_b.lower).max() <= 1e-12
             assert np.abs(box_a.upper - box_b.upper).max() <= 1e-12

@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from ivrls import cli
 from ivrls.cli import main
 from ivrls.simulate import SimConfig, generate_lti
 
@@ -68,6 +71,56 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
                "--config", str(cfg)])
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
+    # a value the flag would refuse is refused with the key named
+    cfg.write_text("modes = 5,soon\n")
+    rc = main(["simulate-lti", "--seed", "1", "--out", str(tmp_path / "o"),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert "modes: modes must be 'exact' or integers" in capsys.readouterr().err
+
+
+class _Captured(Exception):
+    pass
+
+
+def _study_config(monkeypatch, argv):
+    def capture(config):
+        raise _Captured(config)
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    with pytest.raises(_Captured) as caught:
+        main(argv)
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("command", ["simulate-lti", "simulate-ltv"])
+def test_config_file_setting_every_key_matches_flags(command, tmp_path, monkeypatch):
+    values = {
+        "theta_true": ("--theta-true", "0.5,-0.2,0.1"),
+        "n_a": ("--na", "1"),
+        "n_b": ("--nb", "2"),
+        "noise_half_width": ("--noise-half-width", "0.3"),
+        "horizon": ("--horizon", "12"),
+        "runs": ("--runs", "3"),
+        "lam": ("--lambda", "0.9"),
+        "p0_scale": ("--p0-scale", "50"),
+        "prior_radius": ("--prior-radius", "2.5"),
+        "modes": ("--modes", "3,exact"),
+        "monotonic": ("--monotonic", "false"),
+        "workers": ("--workers", "2"),
+    }
+    if command == "simulate-ltv":
+        values["drift_radius"] = ("--drift-radius", "0.1,0.2,0.3")
+        values["drift_period"] = ("--drift-period", "12.5")
+        assert set(values) == {f.name for f in fields(SimConfig)} - {"seed"}
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, (_, text) in values.items()))
+    base = [command, "--seed", "4", "--out", str(tmp_path / "o")]
+    from_file = _study_config(monkeypatch, [*base, "--config", str(cfg)])
+    flags = [token for flag, text in values.values() for token in (flag, text)]
+    from_flags = _study_config(monkeypatch, [*base, *flags])
+    assert from_file == from_flags
+    assert from_file != SimConfig(seed=4)
 
 
 def test_required_flags_enforced():

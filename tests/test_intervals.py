@@ -1,21 +1,14 @@
 import numpy as np
 import pytest
 
-from ivrls.intervals import (
-    IntervalVector,
-    contains,
-    from_bounds,
-    from_center_radius,
-    intersect,
-    tightest_image,
-    translate,
-)
+from ivrls.intervals import IntervalVector, contains, from_center_radius
+from ivrls.lti import _refine
 
-from helpers import box_image_minmax
+from helpers import box_image_minmax, tightest_image
 
 
 def test_from_bounds_basic():
-    box = from_bounds([-1.0, 0.0], [1.0, 2.0])
+    box = IntervalVector([-1.0, 0.0], [1.0, 2.0])
     np.testing.assert_array_equal(box.lower, [-1.0, 0.0])
     np.testing.assert_array_equal(box.upper, [1.0, 2.0])
     np.testing.assert_array_equal(box.center, [0.0, 1.0])
@@ -24,19 +17,27 @@ def test_from_bounds_basic():
 
 
 def test_from_bounds_degenerate_point():
-    box = from_bounds([2.0], [2.0])
+    box = IntervalVector([2.0], [2.0])
     assert box.radius[0] == 0.0
     assert box.contains([2.0])
 
 
 def test_from_bounds_rejects_inversion():
     with pytest.raises(ValueError, match="component"):
-        from_bounds([0.0, 1.0], [1.0, 0.5])
+        IntervalVector([0.0, 1.0], [1.0, 0.5])
 
 
 def test_from_bounds_rejects_nan():
     with pytest.raises(ValueError):
-        from_bounds([np.nan], [1.0])
+        IntervalVector([np.nan], [1.0])
+
+
+def test_rejects_infinite_bounds():
+    for lower, upper in (([-np.inf], [1.0]), ([0.0], [np.inf]), ([-np.inf], [np.inf])):
+        with pytest.raises(ValueError, match="non-finite"):
+            IntervalVector(lower, upper)
+    with pytest.raises(ValueError, match=r"components \[1\]"):
+        from_center_radius(np.zeros(2), [1.0, np.inf])
 
 
 def test_from_center_radius_negative_radius():
@@ -53,26 +54,26 @@ def test_center_radius_roundtrip():
         box = from_center_radius(c, r)
         np.testing.assert_allclose(box.center, c, rtol=0, atol=1e-12 * (1 + np.abs(c)).max())
         np.testing.assert_allclose(box.radius, r, rtol=0, atol=1e-12 * (1 + r).max())
-        back = from_bounds(box.lower, box.upper)
+        back = IntervalVector(box.lower, box.upper)
         np.testing.assert_array_equal(back.lower, box.lower)
         np.testing.assert_array_equal(back.upper, box.upper)
 
 
 def test_immutability():
-    box = from_bounds([0.0], [1.0])
+    box = IntervalVector([0.0], [1.0])
     with pytest.raises(ValueError):
         box.lower[0] = -5.0
 
 
 def test_tightest_image_identity():
-    box = from_bounds([-1.0, 0.0], [2.0, 3.0])
+    box = IntervalVector([-1.0, 0.0], [2.0, 3.0])
     out = tightest_image(np.eye(2), box)
     np.testing.assert_array_equal(out.lower, box.lower)
     np.testing.assert_array_equal(out.upper, box.upper)
 
 
 def test_tightest_image_diagonal_with_sign_flip():
-    box = from_bounds([-1.0, 0.0], [1.0, 2.0])
+    box = IntervalVector([-1.0, 0.0], [1.0, 2.0])
     M = np.array([[2.0, 0.0], [0.0, -3.0]])
     out = tightest_image(M, box)
     np.testing.assert_allclose(out.lower, [-2.0, -6.0])
@@ -84,7 +85,7 @@ def test_tightest_image_diagonal_with_sign_flip():
 
 def test_tightest_image_row_sum():
     # [1, -1] over [-1,1] x [-1,1] reaches every value in [-2, 2]
-    box = from_bounds([-1.0, -1.0], [1.0, 1.0])
+    box = IntervalVector([-1.0, -1.0], [1.0, 1.0])
     out = tightest_image(np.array([[1.0, -1.0]]), box)
     np.testing.assert_allclose(out.lower, [-2.0])
     np.testing.assert_allclose(out.upper, [2.0])
@@ -118,39 +119,26 @@ def test_tightest_image_contains_sampled_points():
     assert hits == 1000
 
 
-def test_tightest_image_shape_errors():
-    box = from_bounds([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError, match="columns"):
-        tightest_image(np.eye(3), box)
+def intersect(a, b, drift=None):
+    return _refine((a.lower, a.upper), b, drift)
 
 
 def test_intersect_overlap():
-    a = from_bounds([0.0], [2.0])
-    b = from_bounds([1.0], [3.0])
-    res = intersect(a, b)
-    assert not res.is_empty
-    np.testing.assert_array_equal(res.lower, [1.0])
-    np.testing.assert_array_equal(res.upper, [2.0])
-    out = res.box()
-    assert isinstance(out, IntervalVector)
+    lo, hi = intersect(IntervalVector([0.0], [2.0]), IntervalVector([1.0], [3.0]))
+    np.testing.assert_array_equal(lo, [1.0])
+    np.testing.assert_array_equal(hi, [2.0])
 
 
 def test_intersect_disjoint_reports_components():
-    a = from_bounds([0.0, 0.0], [1.0, 1.0])
-    b = from_bounds([2.0, 0.5], [3.0, 0.7])
-    res = intersect(a, b)
-    assert res.is_empty
-    assert res.empty_components.tolist() == [0]
-    with pytest.raises(ValueError, match="empty"):
-        res.box()
+    a = IntervalVector([0.0, 0.0], [1.0, 1.0])
+    # empty in one component is empty, whichever component it is
+    assert intersect(a, IntervalVector([2.0, 0.5], [3.0, 0.7])) is None
+    assert intersect(a, IntervalVector([0.5, -2.0], [0.7, -1.0])) is None
 
 
 def test_intersect_touching_is_degenerate_not_empty():
-    a = from_bounds([0.0], [1.0])
-    b = from_bounds([1.0], [2.0])
-    res = intersect(a, b)
-    assert not res.is_empty
-    np.testing.assert_array_equal(res.lower, res.upper)
+    lo, hi = intersect(IntervalVector([0.0], [1.0]), IntervalVector([1.0], [2.0]))
+    np.testing.assert_array_equal(lo, hi)
 
 
 def test_intersect_algebra():
@@ -161,26 +149,29 @@ def test_intersect_algebra():
         b = from_center_radius(rng.normal(size=n), rng.random(n) * 3)
         ab = intersect(a, b)
         ba = intersect(b, a)
-        np.testing.assert_array_equal(ab.lower, ba.lower)
-        np.testing.assert_array_equal(ab.upper, ba.upper)
-        np.testing.assert_array_equal(ab.empty_components, ba.empty_components)
-        aa = intersect(a, a)
-        assert not aa.is_empty
-        np.testing.assert_array_equal(aa.lower, a.lower)
-        np.testing.assert_array_equal(aa.upper, a.upper)
+        assert (ab is None) == (ba is None)
+        if ab is not None:
+            np.testing.assert_array_equal(ab[0], ba[0])
+            np.testing.assert_array_equal(ab[1], ba[1])
+        lo, hi = intersect(a, a)
+        np.testing.assert_array_equal(lo, a.lower)
+        np.testing.assert_array_equal(hi, a.upper)
 
 
 def test_translate():
-    box = from_bounds([-1.0, 0.0], [1.0, 2.0])
-    out = translate(box, [10.0, -1.0])
-    np.testing.assert_array_equal(out.lower, [9.0, -1.0])
-    np.testing.assert_array_equal(out.upper, [11.0, 1.0])
-    np.testing.assert_array_equal(out.radius, box.radius)
-    assert box.translate([10.0, -1.0]).contains(out.center)
+    # a drift box shifts the carried bounds before intersecting
+    box = IntervalVector([-1.0, 0.0], [1.0, 2.0])
+    wide = IntervalVector([-100.0, -100.0], [100.0, 100.0])
+    lo, hi = intersect(box, wide, drift=IntervalVector([10.0, -1.0], [10.0, -1.0]))
+    np.testing.assert_array_equal(lo, [9.0, -1.0])
+    np.testing.assert_array_equal(hi, [11.0, 1.0])
+    lo, hi = intersect(box, wide, drift=IntervalVector([-0.5, 0.0], [0.25, 0.0]))
+    np.testing.assert_array_equal(lo, [-1.5, 0.0])
+    np.testing.assert_array_equal(hi, [1.25, 2.0])
 
 
 def test_contains_boundary_and_slack():
-    box = from_bounds([0.0], [1.0])
+    box = IntervalVector([0.0], [1.0])
     assert contains(box, [0.0])
     assert contains(box, [1.0])
     assert not contains(box, [1.0 + 1e-12])
@@ -191,13 +182,8 @@ def test_contains_boundary_and_slack():
 
 
 def test_dimension_mismatches():
-    a = from_bounds([0.0], [1.0])
-    b = from_bounds([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError, match="mismatch"):
-        intersect(a, b)
-    with pytest.raises(ValueError, match="mismatch"):
-        translate(a, [1.0, 2.0])
+    a = IntervalVector([0.0], [1.0])
     with pytest.raises(ValueError, match="mismatch"):
         contains(a, [0.0, 0.0])
     with pytest.raises(ValueError, match="mismatch"):
-        from_bounds([0.0], [1.0, 2.0])
+        IntervalVector([0.0], [1.0, 2.0])

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from ivrls.intervals import from_bounds, from_center_radius
-from ivrls.lti import (
-    EstimatorConfig,
-    LtiIntervalEstimator,
-    monotonic_update,
-    vertex_oracle,
-)
+from ivrls.intervals import IntervalVector, from_center_radius
+from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, _refine
 from ivrls.rls import RlsConfig
 from ivrls.simulate import REFERENCE_THETA, SimConfig, generate_lti
 
-from helpers import random_spd
+from helpers import random_spd, vertex_oracle
 
 
 def make_config(n=4, lam=0.99, p0=1000.0, prior=4.0, m=None, monotonic=False,
@@ -117,7 +112,7 @@ def test_matches_vertex_oracle_small():
 
 def test_vertex_oracle_no_data_returns_prior():
     rls_cfg = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
-    prior = from_bounds([-1.0, 0.5], [2.0, 1.5])
+    prior = IntervalVector([-1.0, 0.5], [2.0, 1.5])
     box = vertex_oracle(np.zeros((0, 2)), [], np.zeros((0, 2)), prior, rls_cfg)
     np.testing.assert_array_equal(box.lower, prior.lower)
     np.testing.assert_array_equal(box.upper, prior.upper)
@@ -142,23 +137,19 @@ def test_vertex_oracle_refuses_large_enumeration():
     prior = from_center_radius(np.zeros(4), np.ones(4))
     with pytest.raises(ValueError, match="refused"):
         vertex_oracle(
-            np.zeros((17, 4)), np.zeros(17), np.zeros((17, 2)), prior, rls_cfg
+            np.zeros((17, 4)), np.zeros(17), np.zeros((17, 2)), prior, rls_cfg,
+            method="enumerate",
         )
 
 
 def test_monotonic_update_examples():
-    lo, hi, bad = monotonic_update(
-        (np.array([0.0]), np.array([2.0])), from_bounds([1.0], [3.0])
-    )
-    assert (lo[0], hi[0]) == (1.0, 2.0) and bad.size == 0
-    lo, hi, bad = monotonic_update(
-        (np.array([0.0]), np.array([1.0])), from_bounds([2.0], [3.0])
-    )
-    assert bad.tolist() == [0]
+    lo, hi = _refine((np.array([0.0]), np.array([2.0])), IntervalVector([1.0], [3.0]), None)
+    assert (lo[0], hi[0]) == (1.0, 2.0)
+    assert _refine(
+        (np.array([0.0]), np.array([1.0])), IntervalVector([2.0], [3.0]), None
+    ) is None
     # refinement never widens
-    lo, hi, bad = monotonic_update(
-        (np.array([0.5]), np.array([0.8])), from_bounds([0.0], [2.0])
-    )
+    lo, hi = _refine((np.array([0.5]), np.array([0.8])), IntervalVector([0.0], [2.0]), None)
     assert (lo[0], hi[0]) == (0.5, 0.8)
 
 

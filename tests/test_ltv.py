@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ivrls.intervals import from_center_radius
-from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, vertex_oracle
-from ivrls.ltv import DriftBounds, LtvIntervalEstimator, ltv_vertex_oracle
+from ivrls.experiment import run_dataset
+from ivrls.intervals import IntervalVector, from_center_radius
+from ivrls.lti import EstimatorConfig, LtiIntervalEstimator
 from ivrls.rls import RlsConfig
 from ivrls.simulate import (
     REFERENCE_DRIFT_RADIUS,
@@ -12,7 +12,7 @@ from ivrls.simulate import (
     generate_ltv,
 )
 
-from helpers import random_spd
+from helpers import random_spd, vertex_oracle
 
 
 def ltv_sim_config(**kwargs):
@@ -37,13 +37,10 @@ def make_config(n=4, lam=0.1, p0=1000.0, prior=4.0, m=None, monotonic=False):
 
 
 def run_on(dataset, config):
-    est = LtvIntervalEstimator(config)
+    est = LtiIntervalEstimator(config)
     outs = []
     for i in range(dataset.N):
-        drift = DriftBounds(
-            0.5 * (dataset.delta_low[i] + dataset.delta_high[i]),
-            0.5 * (dataset.delta_high[i] - dataset.delta_low[i]),
-        )
+        drift = IntervalVector(dataset.delta_low[i], dataset.delta_high[i])
         outs.append(
             est.step(
                 dataset.X[i], dataset.y[i], dataset.v_low[i], dataset.v_high[i], drift
@@ -53,19 +50,35 @@ def run_on(dataset, config):
 
 
 def test_drift_bounds_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        DriftBounds(np.zeros(2), np.array([0.1, -0.1]))
-    with pytest.raises(ValueError, match="mismatch"):
-        DriftBounds(np.zeros(2), np.zeros(3))
-    d = DriftBounds.symmetric([0.1, 0.2])
-    np.testing.assert_array_equal(d.lower, [-0.1, -0.2])
-    np.testing.assert_array_equal(d.upper, [0.1, 0.2])
+    # drift boxes are plain boxes: inverted or infinite bounds are refused,
+    # also when they come from a dataset
+    with pytest.raises(ValueError, match="inversion"):
+        IntervalVector([0.1, 0.1], [0.2, 0.0])
+    ds = generate_ltv(ltv_sim_config(horizon=10), seed=1)
+    ds.delta_high[4, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        run_dataset(ds, ltv_sim_config(horizon=10))
 
 
 def test_step_rejects_wrong_drift_dimension():
-    est = LtvIntervalEstimator(make_config(n=2))
+    est = LtiIntervalEstimator(make_config(n=2))
     with pytest.raises(ValueError, match="components"):
-        est.step(np.zeros(2), 0.0, -0.1, 0.1, DriftBounds.symmetric([0.1]))
+        est.step(np.zeros(2), 0.0, -0.1, 0.1, IntervalVector([-0.1], [0.1]))
+
+
+def test_step_rejects_switching_drift():
+    drift = IntervalVector([-0.1, -0.1], [0.1, 0.1])
+    est = LtiIntervalEstimator(make_config(n=2))
+    est.step(np.ones(2), 0.0, -0.1, 0.1, drift)
+    with pytest.raises(ValueError, match="step 2: drift box missing"):
+        est.step(np.ones(2), 0.0, -0.1, 0.1)
+    est = LtiIntervalEstimator(make_config(n=2))
+    est.step(np.ones(2), 0.0, -0.1, 0.1)
+    est.step(np.ones(2), 0.0, -0.1, 0.1)
+    with pytest.raises(ValueError, match="step 3: drift box given"):
+        est.step(np.ones(2), 0.0, -0.1, 0.1, drift)
+    # the refused step leaves the estimator where it was
+    assert est.t == 2 and est._engine.stored_terms == 2
 
 
 def test_zero_drift_reduces_to_lti():
@@ -75,7 +88,7 @@ def test_zero_drift_reduces_to_lti():
     n, N = 3, 80
     X = rng.normal(size=(N, n))
     y = rng.normal(size=N)
-    zero = DriftBounds.symmetric(np.zeros(n))
+    zero = IntervalVector(np.zeros(n), np.zeros(n))
     for m in (None, 10):
         cfg = EstimatorConfig(
             rls=RlsConfig(theta0=np.zeros(n), P0=50.0 * np.eye(n), lam=0.9),
@@ -83,11 +96,11 @@ def test_zero_drift_reduces_to_lti():
             m=m,
             monotonic=True,
         )
-        lti = LtiIntervalEstimator(cfg)
-        ltv = LtvIntervalEstimator(cfg)
+        plain = LtiIntervalEstimator(cfg)
+        drifting = LtiIntervalEstimator(cfg)
         for k in range(N):
-            a = lti.step(X[k], y[k], -0.2, 0.3)
-            b = ltv.step(X[k], y[k], -0.2, 0.3, zero)
+            a = plain.step(X[k], y[k], -0.2, 0.3)
+            b = drifting.step(X[k], y[k], -0.2, 0.3, zero)
             for pair in ((a.raw, b.raw), (a.refined, b.refined)):
                 assert np.max(np.abs(pair[0].lower - pair[1].lower)) <= 1e-12
                 assert np.max(np.abs(pair[0].upper - pair[1].upper)) <= 1e-12
@@ -107,11 +120,11 @@ def test_oracle_methods_agree():
         y = rng.normal(size=t)
         vb = np.sort(rng.normal(scale=0.3, size=(t, 2)), axis=1)
         drifts = [
-            DriftBounds(rng.normal(scale=0.05, size=n), rng.random(n) * 0.1)
+            from_center_radius(rng.normal(scale=0.05, size=n), rng.random(n) * 0.1)
             for _ in range(t)
         ]
-        enum = ltv_vertex_oracle(X, y, vb, drifts, prior, rls_cfg, method="enumerate")
-        rows = ltv_vertex_oracle(X, y, vb, drifts, prior, rls_cfg, method="rowsign")
+        enum = vertex_oracle(X, y, vb, prior, rls_cfg, drifts, method="enumerate")
+        rows = vertex_oracle(X, y, vb, prior, rls_cfg, drifts, method="rowsign")
         np.testing.assert_allclose(enum.lower, rows.lower, atol=1e-12, rtol=0)
         np.testing.assert_allclose(enum.upper, rows.upper, atol=1e-12, rtol=0)
 
@@ -130,14 +143,14 @@ def test_estimator_matches_oracle():
         y = rng.normal(size=t)
         vb = np.sort(rng.normal(scale=0.3, size=(t, 2)), axis=1)
         drifts = [
-            DriftBounds(rng.normal(scale=0.05, size=n), rng.random(n) * 0.1)
+            from_center_radius(rng.normal(scale=0.05, size=n), rng.random(n) * 0.1)
             for _ in range(t)
         ]
-        est = LtvIntervalEstimator(EstimatorConfig(rls=rls_cfg, theta_prior=prior))
+        est = LtiIntervalEstimator(EstimatorConfig(rls=rls_cfg, theta_prior=prior))
         for k in range(t):
             out = est.step(X[k], y[k], vb[k, 0], vb[k, 1], drifts[k])
-            box = ltv_vertex_oracle(
-                X[: k + 1], y[: k + 1], vb[: k + 1], drifts[: k + 1], prior, rls_cfg
+            box = vertex_oracle(
+                X[: k + 1], y[: k + 1], vb[: k + 1], prior, rls_cfg, drifts[: k + 1]
             )
             np.testing.assert_allclose(out.raw.lower, box.lower, atol=1e-10, rtol=0)
             np.testing.assert_allclose(out.raw.upper, box.upper, atol=1e-10, rtol=0)
@@ -151,8 +164,8 @@ def test_oracle_zero_drift_matches_lti_oracle():
     X = rng.normal(size=(t, n))
     y = rng.normal(size=t)
     vb = np.sort(rng.normal(scale=0.3, size=(t, 2)), axis=1)
-    drifts = [DriftBounds.symmetric(np.zeros(n))] * t
-    aug = ltv_vertex_oracle(X, y, vb, drifts, prior, rls_cfg, method="rowsign")
+    drifts = [IntervalVector(np.zeros(n), np.zeros(n))] * t
+    aug = vertex_oracle(X, y, vb, prior, rls_cfg, drifts, method="rowsign")
     plain = vertex_oracle(X, y, vb, prior, rls_cfg)
     np.testing.assert_allclose(aug.lower, plain.lower, atol=1e-13, rtol=0)
     np.testing.assert_allclose(aug.upper, plain.upper, atol=1e-13, rtol=0)

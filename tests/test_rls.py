@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivrls.rls import RlsConfig, innovation, rls_init, rls_step
+from ivrls.rls import RlsConfig, rls_init, rls_step
 
 from helpers import batch_rls, collect_run, random_spd
 
@@ -63,14 +63,6 @@ def test_noise_free_fixed_point():
         x = rng.normal(size=3)
         state = rls_step(state, x, x @ theta)
         np.testing.assert_array_equal(state.theta, theta)
-
-
-def test_innovation():
-    config = RlsConfig(theta0=np.array([2.0, 0.0]), P0=np.eye(2), lam=0.9)
-    state = rls_init(config)
-    assert innovation(state, np.array([1.0, 1.0]), 5.0) == pytest.approx(3.0)
-    state = rls_step(state, np.array([1.0, 0.0]), 2.0)
-    assert innovation(state, np.array([1.0, 0.0]), state.theta[0]) == pytest.approx(0.0)
 
 
 def test_step_input_validation():
@@ -141,6 +133,19 @@ def test_gain_denominator_guard():
     object.__setattr__(state, "P", np.array([[-2.0]]))
     with pytest.raises(ArithmeticError, match="positive definiteness"):
         rls_step(state, np.array([1.0]), 0.0)
+
+
+def test_covariance_overflow_fails_at_the_step_it_happens():
+    # heavy forgetting with one excited direction: the other three
+    # diagonal entries of P grow by 1/lam per step until they overflow
+    rng = np.random.default_rng(2)
+    state = rls_init(RlsConfig(theta0=np.zeros(4), P0=1000.0 * np.eye(4), lam=0.1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(304):
+            state = rls_step(state, np.array([rng.normal(), 0.0, 0.0, 0.0]), rng.normal())
+        assert np.all(np.isfinite(state.P))
+        with pytest.raises(ArithmeticError, match="covariance overflow at t=305"):
+            rls_step(state, np.array([rng.normal(), 0.0, 0.0, 0.0]), rng.normal())
 
 
 def test_states_are_fresh_objects():
