@@ -37,16 +37,19 @@ center recursion gains the feedthrough A(t) c_delta(t), and the radius
 formulas apply |Phi(t,k) B(k)| to the stacked radii (r_v(k), r_delta(k)).
 Constant parameters are the case without a drift block.
 
-Exact mode keeps every propagated term, so its per-step cost grows
-linearly with t.  Windowed mode (truncation horizon m) restarts the
-convolution every step from the stored radius m steps back:
+Exact mode keeps every propagated term, so a step costs O(n w t) for
+terms of width w (1, or n+1 with drift) and its state grows linearly
+with t.  Windowed mode (truncation horizon m) restarts the convolution
+every step from the stored radius m steps back:
 
     r_m(t) = |Phi(t,t-m)| r_m(t-m) + sum_{k=t-m+1}^{t} |Phi(t,k) B(k)| r_w(k)
 
-for t > m (exact formula below that).  The windowed radius dominates the
-exact one componentwise, so soundness is preserved at bounded cost; the
-excitation diagnostics certify boundedness of the recursion itself once
-m exceeds their threshold.
+for t > m (exact formula below that).  A step costs O(n w m) for the
+terms plus an amortized O(n^3) for the anchor Phi(t,t-m), which a
+two-stack sliding-window product keeps without inverting anything.  The
+windowed radius dominates the exact one componentwise, so soundness is
+preserved at bounded cost; the excitation diagnostics certify
+boundedness of the recursion itself once m exceeds their threshold.
 
 An optional monotonic post-processor intersects each instantaneous box
 with the running one.  A constant parameter lies in all of them; a
@@ -151,56 +154,117 @@ def _refine(bounds, raw: IntervalVector, drift: IntervalVector | None):
 class _RadiusRecursion:
     """Propagates the convolution terms of the radius formula.
 
-    Exact mode (window=None) carries Phi(t,0) and every term
-    Phi(t,k) B(k): at time t that is one n x n matrix plus t stored
-    term blocks of width `term_width`, which the first step fixes.
-    Windowed mode keeps ring buffers of the last `window` term blocks,
-    the staggered products Phi(t, t-j) for j = 1..window, and the last
-    `window` radius vectors, anchoring each step at
-    |Phi(t, t-window)| r(t-window).
+    The history holds the columns of [Phi(t,a) | Phi(t,k) B(k) ...]: the
+    anchor block Phi(t,a) first, then one block of `term_width` columns
+    per stored term, oldest first.  It is stored transposed, one row per
+    column, so every live part is a contiguous row slice of one of two
+    preallocated buffers: a step writes the propagated rows into the other
+    buffer, and |history| into the first, whose rows are then dead.
+    `radii` holds the radius each column multiplies (r(a) for the anchor
+    rows, r_w(k) for the terms), so the radius is one gemv:
+
+        r(t) = |history| radii
+
+    Exact mode (window=None) keeps a = 0: Phi(t,0) propagates with the
+    terms, every term is kept, and a step costs O(n w t).  Its buffers grow
+    geometrically up to max_exact_horizon blocks.  Windowed mode does the
+    same until t = window.  After that each step drops the oldest block
+    while propagating the rest, and the anchor rows become
+    Phi(t, t-window) applied to the radius stored window steps back:
+    O(n w window) per step, plus an amortized O(n^3) anchor.
+
+    The anchor is a two-stack sliding-window product over the last
+    `window` transition matrices (Tangwongsan, Hirzel & Schneider,
+    VLDB 2015), kept transposed in `stacks`, one (window, n, n) array.  The
+    front stack holds the newest A's from slot 0 up and their running
+    product; the back stack holds, from slot `top` up, suffix products of
+    older ones, the product of all of them at slot `top`.  Popping the
+    oldest A advances `top`; when the back stack runs empty, the front is
+    folded into suffix products in place.  Both stacks hold window matrices
+    together, and no inverse is ever taken.
     """
 
     def __init__(self, n, prior_radius, window, max_exact_horizon):
+        self.n = n
         self.window = window
-        self.term_width = None
         self.max_exact_horizon = max_exact_horizon
+        self.term_width = None
         self.t = 0
-        self.prior_radius = np.asarray(prior_radius, dtype=float).copy()
-        self.phi_t0 = np.eye(n)
-        self.terms = np.zeros((n, 0))
-        self.term_radii = np.zeros(0)
+        self._live = n
+        self._rows = np.eye(n)
+        self._spare = np.empty((n, n))
+        self._radii = np.asarray(prior_radius, dtype=float).copy()
         if window is not None:
-            # stagger[j-1] = Phi(t, t-j); radius_ring[0] = r(t-window) once full
-            self.stagger = np.zeros((0, n, n))
+            self.stacks = np.empty((window, n, n))
+            self._top = window
+            self._front = None
             self.radius_ring = deque(maxlen=window)
 
     @property
     def stored_terms(self) -> int:
-        return self.terms.shape[1] // (self.term_width or 1)
+        return (self._live - self.n) // (self.term_width or 1)
+
+    @property
+    def anchor(self) -> np.ndarray:
+        """The matrix applied to the anchor radius: Phi(t, t - window) once
+        t > window, Phi(t, 0) before that and in exact mode."""
+        return self._rows[: self.n].T
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the buffers geometrically to hold at least `rows` rows."""
+        size = len(self._rows)
+        if rows <= size:
+            return
+        blocks = self.max_exact_horizon if self.window is None else self.window
+        size = min(max(2 * size, rows), self.n + blocks * self.term_width)
+        live = self._live
+        grown = np.empty((size, self.n))
+        grown[:live] = self._rows[:live]
+        radii = np.empty(size)
+        radii[:live] = self._radii[:live]
+        self._rows, self._spare, self._radii = grown, np.empty((size, self.n)), radii
+
+    def _slide_anchor(self, At, out) -> None:
+        """Push A(t), pop A(t-window) and write Phi(t, t-window)' into out."""
+        stacks = self.stacks
+        if self._top == self.window:
+            for i in range(self.window - 2, -1, -1):
+                np.dot(stacks[i], stacks[i + 1], out=stacks[i])
+            self._top = 0
+        self._top += 1
+        top = self._top
+        stacks[top - 1] = At
+        self._front = At if top == 1 else np.dot(self._front, At)
+        if top < self.window:
+            np.dot(stacks[top], self._front, out=out)
+        else:
+            out[...] = self._front
 
     def step(self, A, term, term_radius) -> np.ndarray:
-        m = self.window
+        n, m, k = self.n, self.window, self._live
         w = self.term_width = term.shape[1]
         self.t += 1
-        if m is None and self.t > self.max_exact_horizon:
-            raise RuntimeError(
-                f"exact-mode horizon cap {self.max_exact_horizon} exceeded; "
-                "use a truncation window for long runs"
-            )
-        if m is not None:
-            keep = self.stagger if len(self.stagger) < m else self.stagger[:-1]
-            self.stagger = np.concatenate([A[None], np.matmul(A, keep)])
-        propagated = A @ self.terms
+        # contiguous: gemm with a transposed operand is several times slower here
+        At = A.T.copy()
         if m is None or self.t <= m:
-            self.phi_t0 = A @ self.phi_t0
-            self.terms = np.concatenate([propagated, term], axis=1)
-            self.term_radii = np.concatenate([self.term_radii, term_radius])
-            radius = np.abs(self.phi_t0) @ self.prior_radius
+            self._reserve(k + w)
+            rows, new = self._rows, self._spare
+            np.dot(rows[:k], At, out=new[:k])
+            if m is not None:
+                self.stacks[self.t - 1] = At
         else:
-            self.terms = np.concatenate([propagated[:, w:], term], axis=1)
-            self.term_radii = np.concatenate([self.term_radii[w:], term_radius])
-            radius = np.abs(self.stagger[-1]) @ self.radius_ring[0]
-        radius = radius + np.abs(self.terms) @ self.term_radii
+            rows, new, radii = self._rows, self._spare, self._radii
+            k -= w
+            np.dot(rows[n + w : k + w], At, out=new[n:k])
+            radii[n:k] = radii[n + w : k + w]
+            self._slide_anchor(At, new[:n])
+            radii[:n] = self.radius_ring[0]
+        new[k : k + w] = term.T
+        self._radii[k : k + w] = term_radius
+        k = self._live = k + w
+        np.abs(new[:k], out=rows[:k])
+        radius = np.dot(self._radii[:k], rows[:k])
+        self._rows, self._spare = new, rows
         if m is not None:
             self.radius_ring.append(radius)
         return radius
@@ -260,6 +324,11 @@ class LtiIntervalEstimator:
         if self._engine.term_width not in (None, width):
             given = "given" if drift is not None else "missing"
             raise ValueError(f"step {self.t + 1}: drift box {given}, unlike earlier steps")
+        if self.config.m is None and self.t >= self.config.max_exact_horizon:
+            raise RuntimeError(
+                f"exact-mode horizon cap {self.config.max_exact_horizon} exceeded; "
+                "use a truncation window for long runs"
+            )
         c_v = 0.5 * (v_low + v_high)
         r_v = 0.5 * (v_high - v_low)
         state = rls_step(self._rls_state, x, y)

@@ -335,7 +335,7 @@ def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeRep
             b_inf = nan
             b_inf_bound = nan
         else:
-            b_inf = c * eta_q * eta_v / (1.0 - rho)
+            _, b_inf = asymptotic_radius_bound(c, rho, eta_q, eta_v, math.ceil(mstar) + 1)
             b_inf_bound = (
                 eta_v
                 * math.sqrt(n)

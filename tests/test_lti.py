@@ -6,7 +6,7 @@ from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, _refine
 from ivrls.rls import RlsConfig
 from ivrls.simulate import REFERENCE_THETA, SimConfig, generate_lti
 
-from helpers import random_spd, vertex_oracle
+from helpers import phi_product, random_spd, vertex_oracle
 
 
 def make_config(n=4, lam=0.99, p0=1000.0, prior=4.0, m=None, monotonic=False,
@@ -206,15 +206,60 @@ def test_exact_mode_stores_linearly_growing_state():
     ds = generate_lti(SimConfig(horizon=40, seed=18), seed=18)
     est, _ = run_on(ds, make_config())
     assert est._engine.stored_terms == 40
-    assert est._engine.phi_t0.shape == (4, 4)
+    assert est._engine.anchor.shape == (4, 4)
 
 
 def test_windowed_mode_stores_bounded_state():
     ds = generate_lti(SimConfig(horizon=40, seed=18), seed=18)
     est, _ = run_on(ds, make_config(m=7))
     assert est._engine.stored_terms == 7
-    assert len(est._engine.stagger) == 7
+    assert len(est._engine.stacks) == 7
     assert len(est._engine.radius_ring) == 7
+
+
+def test_windowed_buffers_stop_growing_at_the_window():
+    m = 7
+    ds = generate_lti(SimConfig(horizon=10_000, seed=20), seed=20)
+    est = LtiIntervalEstimator(make_config(m=m))
+    engine = est._engine
+    for i in range(ds.N):
+        est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i])
+        buffers = {id(engine._rows), id(engine._spare), id(engine._radii), id(engine.stacks)}
+        if i + 1 == m:
+            held = buffers
+            rows = len(engine._rows)
+        elif i + 1 > m:
+            assert buffers == held and len(engine._rows) == rows
+            assert engine.stored_terms == m and len(engine.radius_ring) == m
+    assert rows == 4 + m
+
+
+@pytest.mark.parametrize("drifting", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_anchor_matches_brute_force_product(m, drifting):
+    # the back stack is rebuilt at t = m+1, 2m+1, ...: 4m + 10 steps see at least four
+    n = 4
+    ds = generate_lti(SimConfig(horizon=4 * m + 10, seed=21), seed=21)
+    est = LtiIntervalEstimator(make_config(n=n, m=m))
+    drift = from_center_radius(np.zeros(n), np.full(n, 1e-3)) if drifting else None
+    As = []
+    for i in range(ds.N):
+        est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
+        As.append(est.rls_state.last_A)
+        t = i + 1
+        np.testing.assert_allclose(
+            est._engine.anchor, phi_product(As, t, max(t - m, 0)), rtol=1e-12, atol=0
+        )
+    assert est._engine.term_width == (n + 1 if drifting else 1)
+
+
+def test_windowed_radius_dominates_exact_on_a_long_stream():
+    ds = generate_lti(SimConfig(horizon=3000, seed=23), seed=23)
+    _, exact = run_on(ds, make_config())
+    _, windowed = run_on(ds, make_config(m=50))
+    r_exact = np.array([o.raw.radius for o in exact])
+    r_windowed = np.array([o.raw.radius for o in windowed])
+    assert np.all(r_windowed >= r_exact * (1 - 1e-12))
 
 
 def test_exact_horizon_guard():
@@ -225,6 +270,19 @@ def test_exact_horizon_guard():
         est.step(rng.normal(size=2), 0.0, -0.1, 0.1)
     with pytest.raises(RuntimeError, match="horizon cap"):
         est.step(rng.normal(size=2), 0.0, -0.1, 0.1)
+
+
+def test_exact_horizon_refusal_changes_no_state():
+    est = LtiIntervalEstimator(make_config(n=2, max_exact_horizon=3))
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        est.step(rng.normal(size=2), 0.0, -0.1, 0.1)
+    state, center = est.rls_state, est._center.copy()
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="horizon cap 3"):
+            est.step(rng.normal(size=2), 1.0, -0.1, 0.1)
+        assert est.t == 3 and est._engine.t == 3 and est.rls_state is state
+        np.testing.assert_array_equal(est._center, center)
 
 
 def test_asymmetric_noise_bounds_shift_center():
