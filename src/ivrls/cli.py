@@ -49,24 +49,20 @@ def _parse_floats(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
-def _parse_modes(text: str) -> tuple:
-    modes = []
-    for part in text.split(","):
-        part = part.strip()
-        if part == "exact":
-            modes.append(None)
-        else:
-            try:
-                modes.append(int(part))
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"modes must be 'exact' or integers, got {part!r}"
-                )
-    return tuple(modes)
-
-
 def _parse_mode(text: str):
-    return None if text.strip() == "exact" else int(text)
+    text = text.strip()
+    if text == "exact":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"modes must be 'exact' or integers, got {text!r}"
+        ) from None
+
+
+def _parse_modes(text: str) -> tuple:
+    return tuple(_parse_mode(part) for part in text.split(","))
 
 
 def _parse_bool(text: str) -> bool:
@@ -149,7 +145,7 @@ def _effective_config(args, parser: argparse.ArgumentParser, ltv: bool) -> SimCo
                 )
             try:
                 effective[key] = types[key](raw)
-            except argparse.ArgumentTypeError as exc:
+            except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise ValueError(f"{args.config}: {key}: {exc}") from exc
     for key in defaults:
         if hasattr(args, key):
@@ -174,7 +170,6 @@ def _read_config_file(path) -> dict:
 def _cmd_simulate(args, parser, ltv: bool) -> int:
     config = _effective_config(args, parser, ltv)
     result = run_experiment(config)
-    os.makedirs(args.out, exist_ok=True)
     paths = write_experiment(result, args.out)
     if args.write_datasets:
         for run in range(config.runs):
@@ -230,10 +225,9 @@ def _cmd_analyze_pe(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     txt_path = os.path.join(args.out, "pe_report.txt")
     csv_path = os.path.join(args.out, "pe_report.csv")
-    with open(txt_path, "w", newline="") as fh:
-        fh.write(report.to_kv_text())
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(report.to_csv_text())
+    for path, text in ((txt_path, report.to_kv_text()), (csv_path, report.to_csv_text())):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
     sys.stdout.write(report.to_kv_text())
     print(f"wrote {txt_path} and {csv_path}")
     return 0

@@ -1,4 +1,6 @@
-"""Datasets and their CSV form.
+"""Datasets and the CSV format, which lives only here: `_write_table`
+writes every table of the package, and the dataset columns, writer and
+reader all derive from one schema, `_DATASET_SCHEMA`.
 
 A dataset is the row sequence an estimator consumes, in processing
 order: time index, output, regressor, per-step noise bounds, and
@@ -12,22 +14,115 @@ CSV layout (header mandatory, one row per step):
 
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly; equal datasets therefore produce byte-identical files.
+The reader skips '#' comment and blank lines, accepts CRLF endings, and
+rejects non-finite values and a non-integer `t`.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 __all__ = ["Dataset", "write_estimates_csv"]
 
-_FLOAT_FMT = ".17g"
+# Rows formatted per `tolist()` call.  A chunk is held as Python floats,
+# so it is kept small: on a 30-column trace 128 rows raise peak RSS by
+# about 0.6 MB, 512 rows by about 2.4 MB, at the same speed.
+_CHUNK_ROWS = 128
+_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), _FLOAT_FMT)
+def _write_table(path, header, blocks, comments=()) -> None:
+    """Write a header, one row per index of `blocks`, then '# ' comments.
+
+    Each block is an array of N rows with one column (1-d) or several
+    (2-d).  Float blocks are written at 17 significant digits, integer
+    and boolean blocks as %d, and anything else (labels) as text.
+    """
+    blocks = [np.asarray(b) for b in blocks]
+    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+    if len({b.shape[0] for b in blocks}) != 1:
+        raise ValueError(f"table columns differ in length: {[b.shape[0] for b in blocks]}")
+    row_fmt = ",".join(
+        _FORMATS.get(b.dtype.kind, "%s") for b in blocks for _ in range(b.shape[1])
+    ) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, blocks[0].shape[0], _CHUNK_ROWS):
+            chunk = [b[start : start + _CHUNK_ROWS].tolist() for b in blocks]
+            fh.writelines(
+                row_fmt % tuple(chain.from_iterable(cells)) for cells in zip(*chunk)
+            )
+        fh.writelines(f"# {line}\n" for line in comments)
+
+
+# (field, column name, grouped): a grouped field is an (N, n) array
+# written as columns name_1..name_n, the others are single columns.
+_DATASET_SCHEMA = (
+    ("t", "t", False),
+    ("y", "y", False),
+    ("X", "x", True),
+    ("v_low", "v_lo", False),
+    ("v_high", "v_hi", False),
+    ("v", "v_true", False),
+    ("theta_true", "theta_true", True),
+    ("delta_low", "delta_lo", True),
+    ("delta_high", "delta_hi", True),
+)
+_REQUIRED = ("t", "y", "v_lo", "v_hi")
+
+
+def _column_names(column: str, grouped: bool, n: int) -> list[str]:
+    return [f"{column}_{i}" for i in range(1, n + 1)] if grouped else [column]
+
+
+def _content_lines(path):
+    """(line number, text) of each line that is neither blank nor a comment."""
+    with open(path, "r", newline="") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\r\n")
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def _header_fields(path, header: list[str]):
+    """The dataset fields a header carries: their column names, in schema
+    order, and each field's index (single column) or slice (group) into them."""
+    columns = set(header)
+    if len(columns) != len(header):
+        raise ValueError(f"{path}: duplicate column names in header")
+
+    x_ids = sorted(
+        int(m.group(1)) for h in header if (m := re.fullmatch(r"x_(\d+)", h))
+    )
+    if not x_ids or x_ids != list(range(1, len(x_ids) + 1)):
+        raise ValueError(f"{path}: regressor columns must be x_1..x_n, got {x_ids}")
+    n = len(x_ids)
+
+    names: list[str] = []
+    slices = {}
+    for field, column, grouped in _DATASET_SCHEMA:
+        group = _column_names(column, grouped, n)
+        found = [name for name in group if name in columns]
+        if not found:
+            if column in _REQUIRED:
+                raise ValueError(f"{path}: missing required column '{column}'")
+            continue
+        if len(found) != len(group):
+            raise ValueError(
+                f"{path}: incomplete column group {column}_1..{column}_{n}"
+            )
+        start = len(names)
+        slices[field] = slice(start, start + len(group)) if grouped else start
+        names += group
+    if ("delta_low" in slices) != ("delta_high" in slices):
+        raise ValueError(f"{path}: delta_lo_* and delta_hi_* must appear together")
+    return names, slices
 
 
 @dataclass(eq=False)
@@ -47,30 +142,18 @@ class Dataset:
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=int)
         self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.v_low = np.asarray(self.v_low, dtype=float)
-        self.v_high = np.asarray(self.v_high, dtype=float)
         N = self.t.shape[0]
         if self.X.ndim != 2 or self.X.shape[0] != N:
             raise ValueError(f"X must be ({N}, n), got {self.X.shape}")
-        n = self.X.shape[1]
-        for name in ("y", "v_low", "v_high"):
+        for name, column, grouped in _DATASET_SCHEMA[1:]:
             arr = getattr(self, name)
-            if arr.shape != (N,):
-                raise ValueError(f"{name} must have shape ({N},), got {arr.shape}")
-        if self.v is not None:
-            self.v = np.asarray(self.v, dtype=float)
-            if self.v.shape != (N,):
-                raise ValueError(f"v must have shape ({N},), got {self.v.shape}")
-        for name in ("theta_true", "delta_low", "delta_high"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                if arr.shape != (N, n):
-                    raise ValueError(
-                        f"{name} must have shape ({N}, {n}), got {arr.shape}"
-                    )
-                setattr(self, name, arr)
+            if arr is None and column not in _REQUIRED:
+                continue
+            arr = np.asarray(arr, dtype=float)
+            shape = (N, self.n) if grouped else (N,)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            setattr(self, name, arr)
         if (self.delta_low is None) != (self.delta_high is None):
             raise ValueError("delta_low and delta_high must be given together")
 
@@ -100,137 +183,69 @@ class Dataset:
                 raise ValueError("delta_lo > delta_hi in some row")
 
     def columns(self) -> list[str]:
-        n = self.n
-        cols = ["t", "y"] + [f"x_{i}" for i in range(1, n + 1)] + ["v_lo", "v_hi"]
-        if self.v is not None:
-            cols.append("v_true")
-        if self.theta_true is not None:
-            cols += [f"theta_true_{i}" for i in range(1, n + 1)]
-        if self.is_ltv:
-            cols += [f"delta_lo_{i}" for i in range(1, n + 1)]
-            cols += [f"delta_hi_{i}" for i in range(1, n + 1)]
-        return cols
+        return [
+            name
+            for field, column, grouped in _DATASET_SCHEMA
+            if getattr(self, field) is not None
+            for name in _column_names(column, grouped, self.n)
+        ]
 
     def to_csv(self, path) -> None:
-        n = self.n
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.columns()) + "\n")
-            for i in range(self.N):
-                row = [str(int(self.t[i])), _fmt(self.y[i])]
-                row += [_fmt(self.X[i, j]) for j in range(n)]
-                row += [_fmt(self.v_low[i]), _fmt(self.v_high[i])]
-                if self.v is not None:
-                    row.append(_fmt(self.v[i]))
-                if self.theta_true is not None:
-                    row += [_fmt(self.theta_true[i, j]) for j in range(n)]
-                if self.is_ltv:
-                    row += [_fmt(self.delta_low[i, j]) for j in range(n)]
-                    row += [_fmt(self.delta_high[i, j]) for j in range(n)]
-                fh.write(",".join(row) + "\n")
+        blocks = (getattr(self, field) for field, _, _ in _DATASET_SCHEMA)
+        _write_table(path, self.columns(), [b for b in blocks if b is not None])
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        with open(path, "r", newline="") as fh:
-            lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        if not lines:
-            raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in lines[0].split(",")]
-        index = {name: i for i, name in enumerate(header)}
-        if len(index) != len(header):
-            raise ValueError(f"{path}: duplicate column names in header")
-
-        x_ids = sorted(
-            int(m.group(1)) for h in header if (m := re.fullmatch(r"x_(\d+)", h))
-        )
-        if not x_ids or x_ids != list(range(1, len(x_ids) + 1)):
-            raise ValueError(f"{path}: regressor columns must be x_1..x_n, got {x_ids}")
-        n = len(x_ids)
-        for required in ("t", "y", "v_lo", "v_hi"):
-            if required not in index:
-                raise ValueError(f"{path}: missing required column '{required}'")
-
-        def group(prefix: str) -> list[str] | None:
-            names = [f"{prefix}_{i}" for i in range(1, n + 1)]
-            present = [nm for nm in names if nm in index]
-            if not present:
-                return None
-            if len(present) != n:
-                raise ValueError(
-                    f"{path}: incomplete column group {prefix}_1..{prefix}_{n}"
-                )
-            return names
-
-        theta_cols = group("theta_true")
-        dlo_cols = group("delta_lo")
-        dhi_cols = group("delta_hi")
-        if (dlo_cols is None) != (dhi_cols is None):
-            raise ValueError(f"{path}: delta_lo_* and delta_hi_* must appear together")
-        has_v = "v_true" in index
-
-        rows = lines[1:]
-        N = len(rows)
-        t = np.zeros(N, dtype=int)
-        X = np.zeros((N, n))
-        y = np.zeros(N)
-        v_low = np.zeros(N)
-        v_high = np.zeros(N)
-        v = np.zeros(N) if has_v else None
-        theta = np.zeros((N, n)) if theta_cols else None
-        dlo = np.zeros((N, n)) if dlo_cols else None
-        dhi = np.zeros((N, n)) if dhi_cols else None
-
-        for i, line in enumerate(rows):
-            lineno = i + 2
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno} has {len(parts)} fields, "
-                    f"expected {len(header)}"
-                )
-
-            def field(col: str) -> float:
-                raw = parts[index[col]]
-                try:
-                    return float(raw)
-                except ValueError:
+        # Two passes: count the rows, then parse each into a preallocated
+        # array, so the text of the file is never held in memory.
+        N = sum(1 for _ in _content_lines(path)) - 1
+        with closing(_content_lines(path)) as lines:
+            first = next(lines, None)
+            if first is None:
+                raise ValueError(f"{path}: empty file")
+            header = [h.strip() for h in first[1].split(",")]
+            names, slices = _header_fields(path, header)
+            pick = itemgetter(*map(header.index, names))
+            data = np.empty((N, len(names)))
+            linenos = np.empty(N, dtype=int)
+            for i, (lineno, line) in enumerate(lines):
+                linenos[i] = lineno
+                parts = line.split(",")
+                if len(parts) != len(header):
                     raise ValueError(
-                        f"{path}: line {lineno}, column '{col}': "
-                        f"cannot parse {raw!r}"
-                    ) from None
+                        f"{path}: line {lineno} has {len(parts)} fields, "
+                        f"expected {len(header)}"
+                    )
+                try:
+                    data[i] = [float(raw) for raw in pick(parts)]
+                except ValueError:
+                    for name, raw in zip(names, pick(parts)):
+                        try:
+                            float(raw)
+                        except ValueError:
+                            raise ValueError(
+                                f"{path}: line {lineno}, column '{name}': "
+                                f"cannot parse {raw!r}"
+                            ) from None
 
-            t[i] = int(field("t"))
-            y[i] = field("y")
-            for j in range(n):
-                X[i, j] = field(f"x_{j + 1}")
-            v_low[i] = field("v_lo")
-            v_high[i] = field("v_hi")
-            if v_low[i] > v_high[i]:
-                raise ValueError(
-                    f"{path}: line {lineno}: v_lo={v_low[i]:g} exceeds "
-                    f"v_hi={v_high[i]:g}"
-                )
-            if v is not None:
-                v[i] = field("v_true")
-            if theta is not None:
-                for j in range(n):
-                    theta[i, j] = field(f"theta_true_{j + 1}")
-            if dlo is not None:
-                for j in range(n):
-                    dlo[i, j] = field(f"delta_lo_{j + 1}")
-                    dhi[i, j] = field(f"delta_hi_{j + 1}")
+        def reject(message, i, name=None):
+            where = f"line {linenos[i]}" + ("" if name is None else f", column '{name}'")
+            raise ValueError(f"{path}: {where}: {message}")
 
-        ds = cls(
-            t=t,
-            X=X,
-            y=y,
-            v_low=v_low,
-            v_high=v_high,
-            v=v,
-            theta_true=theta,
-            delta_low=dlo,
-            delta_high=dhi,
-        )
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            i, j = bad[0]
+            reject(f"non-finite value {data[i, j]:g}", i, names[j])
+        bad = np.flatnonzero(data[:, 0] != np.trunc(data[:, 0]))
+        if bad.size:
+            reject(f"t must be an integer, got {float(data[bad[0], 0])!r}", bad[0], "t")
+        lo, hi = data[:, slices["v_low"]], data[:, slices["v_high"]]
+        bad = np.flatnonzero(lo > hi)
+        if bad.size:
+            i = bad[0]
+            reject(f"v_lo={lo[i]:g} exceeds v_hi={hi[i]:g}", i)
+
+        ds = cls(**{field: data[:, sl].copy() for field, sl in slices.items()})
         ds.validate()
         return ds
 
@@ -257,9 +272,8 @@ def write_estimates_csv(
     across-run count there.  Trailing '#' comment lines carry optional
     audit summaries; readers that skip comments see plain CSV.
     """
-    t = np.asarray(t)
-    point = np.asarray(point, dtype=float)
-    N, n = point.shape
+    t = np.asarray(t).astype(int)
+    N, n = np.shape(point)
     blocks = [("theta_hat", point), ("c", center), ("r", radius),
               ("lo", lower), ("hi", upper)]
     if (mono_lower is None) != (mono_upper is None):
@@ -274,18 +288,6 @@ def write_estimates_csv(
         inconsistent = np.zeros(N, dtype=int)
     inconsistent = np.asarray(inconsistent, dtype=int)
 
-    header = ["t"]
-    for name, _ in blocks:
-        header += [f"{name}_{i}" for i in range(1, n + 1)]
-    header.append("inconsistent")
-
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(N):
-            row = [str(int(t[i]))]
-            for _, arr in blocks:
-                row += [_fmt(arr[i, j]) for j in range(n)]
-            row.append(str(int(inconsistent[i])))
-            fh.write(",".join(row) + "\n")
-        for line in comments or ():
-            fh.write(f"# {line}\n")
+    header = ["t", *(c for name, _ in blocks for c in _column_names(name, True, n)),
+              "inconsistent"]
+    _write_table(path, header, [t, *(arr for _, arr in blocks), inconsistent], comments or ())

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
-from .data import Dataset, write_estimates_csv, _fmt
+from .data import Dataset, _write_table, write_estimates_csv
 from .intervals import IntervalVector, from_center_radius
 from .lti import EstimatorConfig, LtiIntervalEstimator
 from .rls import RlsConfig
@@ -27,7 +27,6 @@ __all__ = [
     "CONTAINMENT_SLACK",
     "ModeTrace",
     "RunAudit",
-    "ModeAverage",
     "ExperimentResult",
     "SweepResult",
     "estimator_config",
@@ -66,7 +65,9 @@ def estimator_config(
 
 @dataclass(eq=False)
 class ModeTrace:
-    """Full single-run output of one estimator mode."""
+    """Output of one estimator mode, either of a single run, where
+    `inconsistent` flags each step 0/1, or averaged across runs, where it
+    counts the runs flagged at each step."""
 
     label: str
     t: np.ndarray
@@ -91,20 +92,6 @@ class RunAudit:
 
 
 @dataclass(eq=False)
-class ModeAverage:
-    label: str
-    t: np.ndarray
-    point: np.ndarray
-    center: np.ndarray
-    radius: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    mono_lower: np.ndarray | None
-    mono_upper: np.ndarray | None
-    inconsistent_counts: np.ndarray
-
-
-@dataclass(eq=False)
 class ExperimentResult:
     config: SimConfig
     averages: list
@@ -117,7 +104,7 @@ class ExperimentResult:
             a.raw_contained and (a.refined_contained is not False) for a in self.audits
         )
 
-    def average(self, label: str) -> ModeAverage:
+    def average(self, label: str) -> ModeTrace:
         for avg in self.averages:
             if avg.label == label:
                 return avg
@@ -136,62 +123,50 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
             n, config.lam, config.p0_scale, config.prior_radius, m, config.monotonic
         )
         est = LtiIntervalEstimator(est_cfg)
-        N = dataset.N
-        point = np.zeros((N, n))
-        center = np.zeros((N, n))
-        radius = np.zeros((N, n))
-        lower = np.zeros((N, n))
-        upper = np.zeros((N, n))
-        mono_lower = np.zeros((N, n)) if config.monotonic else None
-        mono_upper = np.zeros((N, n)) if config.monotonic else None
-        inconsistent = np.zeros(N, dtype=int)
-        for i in range(N):
+        shape = (dataset.N, n)
+        mono = config.monotonic
+        trace = ModeTrace(
+            label=mode_label(m),
+            t=dataset.t.copy(),
+            point=np.zeros(shape),
+            center=np.zeros(shape),
+            radius=np.zeros(shape),
+            lower=np.zeros(shape),
+            upper=np.zeros(shape),
+            mono_lower=np.zeros(shape) if mono else None,
+            mono_upper=np.zeros(shape) if mono else None,
+            inconsistent=np.zeros(dataset.N, dtype=int),
+        )
+        for i in range(dataset.N):
             est_out = est.step(
                 dataset.X[i], dataset.y[i], dataset.v_low[i], dataset.v_high[i], drifts[i]
             )
-            point[i] = est_out.point
-            center[i] = est_out.raw.center
-            radius[i] = est_out.raw.radius
-            lower[i] = est_out.raw.lower
-            upper[i] = est_out.raw.upper
-            if config.monotonic:
-                mono_lower[i] = est_out.refined.lower
-                mono_upper[i] = est_out.refined.upper
-            inconsistent[i] = int(est_out.inconsistent)
-        traces.append(
-            ModeTrace(
-                label=mode_label(m),
-                t=dataset.t.copy(),
-                point=point,
-                center=center,
-                radius=radius,
-                lower=lower,
-                upper=upper,
-                mono_lower=mono_lower,
-                mono_upper=mono_upper,
-                inconsistent=inconsistent,
-            )
-        )
+            trace.point[i] = est_out.point
+            trace.center[i] = est_out.raw.center
+            trace.radius[i] = est_out.raw.radius
+            trace.lower[i] = est_out.raw.lower
+            trace.upper[i] = est_out.raw.upper
+            if mono:
+                trace.mono_lower[i] = est_out.refined.lower
+                trace.mono_upper[i] = est_out.refined.upper
+            trace.inconsistent[i] = est_out.inconsistent
+        traces.append(trace)
     return traces
 
 
 def _audit_trace(trace: ModeTrace, truth: np.ndarray, run: int, seed: int) -> RunAudit:
-    s = CONTAINMENT_SLACK
-    raw_ok = bool(
-        np.all(trace.lower - s <= truth) and np.all(truth <= trace.upper + s)
-    )
-    refined_ok = None
-    if trace.mono_lower is not None:
-        refined_ok = bool(
-            np.all(trace.mono_lower - s <= truth)
-            and np.all(truth <= trace.mono_upper + s)
-        )
+    def contained(lower, upper) -> bool:
+        s = CONTAINMENT_SLACK
+        return bool(np.all(lower - s <= truth) and np.all(truth <= upper + s))
+
     return RunAudit(
         run=run,
         seed=seed,
         label=trace.label,
-        raw_contained=raw_ok,
-        refined_contained=refined_ok,
+        raw_contained=contained(trace.lower, trace.upper),
+        refined_contained=None
+        if trace.mono_lower is None
+        else contained(trace.mono_lower, trace.mono_upper),
         inconsistent_steps=int(trace.inconsistent.sum()),
     )
 
@@ -216,36 +191,29 @@ def run_experiment(config: SimConfig, keep_traces: bool = False) -> ExperimentRe
         results = [worker(run) for run in runs]
 
     audits = [a for _, run_audits in results for a in run_audits]
-    averages = []
-    for mode_idx, m in enumerate(config.modes):
-        mode_traces = [traces[mode_idx] for traces, _ in results]
-        mono = config.monotonic
-        averages.append(
-            ModeAverage(
-                label=mode_label(m),
-                t=mode_traces[0].t.copy(),
-                point=np.mean([tr.point for tr in mode_traces], axis=0),
-                center=np.mean([tr.center for tr in mode_traces], axis=0),
-                radius=np.mean([tr.radius for tr in mode_traces], axis=0),
-                lower=np.mean([tr.lower for tr in mode_traces], axis=0),
-                upper=np.mean([tr.upper for tr in mode_traces], axis=0),
-                mono_lower=np.mean([tr.mono_lower for tr in mode_traces], axis=0)
-                if mono
-                else None,
-                mono_upper=np.mean([tr.mono_upper for tr in mode_traces], axis=0)
-                if mono
-                else None,
-                inconsistent_counts=np.sum(
-                    [tr.inconsistent for tr in mode_traces], axis=0
-                ),
-            )
-        )
     return ExperimentResult(
         config=config,
-        averages=averages,
+        averages=[
+            _average([traces[mode_idx] for traces, _ in results])
+            for mode_idx in range(len(config.modes))
+        ],
         audits=audits,
         traces=[traces for traces, _ in results] if keep_traces else None,
     )
+
+
+def _average(traces: list[ModeTrace]) -> ModeTrace:
+    """Componentwise mean of every bound array, in run order; the
+    `inconsistent` flags are summed into per-step counts."""
+    first = traces[0]
+    arrays = {}
+    for f in fields(ModeTrace):
+        if f.name in ("label", "t") or getattr(first, f.name) is None:
+            continue
+        stacked = [getattr(tr, f.name) for tr in traces]
+        reduce = np.sum if f.name == "inconsistent" else np.mean
+        arrays[f.name] = reduce(stacked, axis=0)
+    return replace(first, t=first.t.copy(), **arrays)
 
 
 @dataclass(eq=False)
@@ -270,12 +238,8 @@ class SweepResult:
     def to_csv(self, path) -> None:
         n = self.rows[0].final_width.shape[0]
         header = ["lambda", "mode"] + [f"width_{i}" for i in range(1, n + 1)]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in self.rows:
-                cells = [_fmt(row.lam), row.label]
-                cells += [_fmt(w) for w in row.final_width]
-                fh.write(",".join(cells) + "\n")
+        rows = [(row.lam, row.label, row.final_width) for row in self.rows]
+        _write_table(path, header, list(zip(*rows)))
 
 
 def lambda_sweep(config: SimConfig, lambdas) -> SweepResult:
@@ -299,34 +263,30 @@ def lambda_sweep(config: SimConfig, lambdas) -> SweepResult:
     return SweepResult(config=config, lambdas=lambdas, rows=rows)
 
 
+def _write_trace(path, trace: ModeTrace, comments=None) -> None:
+    """Write a trace: `write_estimates_csv` takes its array fields by name."""
+    arrays = {f.name: getattr(trace, f.name) for f in fields(trace) if f.name != "label"}
+    write_estimates_csv(path, **arrays, comments=comments)
+
+
 def write_experiment(result: ExperimentResult, outdir) -> list[str]:
     """Write avg_<mode>.csv per mode plus audit.csv; returns the paths."""
     os.makedirs(outdir, exist_ok=True)
     paths = []
     for avg in result.averages:
         path = os.path.join(outdir, f"avg_{avg.label}.csv")
-        write_estimates_csv(
-            path,
-            avg.t,
-            avg.point,
-            avg.center,
-            avg.radius,
-            avg.lower,
-            avg.upper,
-            mono_lower=avg.mono_lower,
-            mono_upper=avg.mono_upper,
-            inconsistent=avg.inconsistent_counts,
-        )
+        _write_trace(path, avg)
         paths.append(path)
     audit_path = os.path.join(outdir, "audit.csv")
-    with open(audit_path, "w", newline="") as fh:
-        fh.write("run,seed,mode,raw_contained,refined_contained,inconsistent_steps\n")
-        for a in result.audits:
-            refined = "" if a.refined_contained is None else str(int(a.refined_contained))
-            fh.write(
-                f"{a.run},{a.seed},{a.label},{int(a.raw_contained)},"
-                f"{refined},{a.inconsistent_steps}\n"
-            )
+    rows = [
+        (a.run, a.seed, a.label, a.raw_contained,
+         "" if a.refined_contained is None else str(int(a.refined_contained)),
+         a.inconsistent_steps)
+        for a in result.audits
+    ]
+    header = ["run", "seed", "mode", "raw_contained", "refined_contained",
+              "inconsistent_steps"]
+    _write_table(audit_path, header, list(zip(*rows)))
     paths.append(audit_path)
     return paths
 
@@ -352,15 +312,11 @@ def estimate_from_csv(
         theta_true=tuple(0.0 for _ in range(dataset.n)),
         n_a=dataset.n,
         n_b=0,
-        horizon=dataset.N,
-        runs=1,
-        seed=0,
         lam=lam,
         p0_scale=p0_scale,
         prior_radius=prior_radius,
         modes=(m,),
         monotonic=monotonic,
-        drift_radius=None,
     )
     trace = run_dataset(dataset, config)[0]
     audit = None
@@ -375,17 +331,5 @@ def estimate_from_csv(
             f"refined_contained={refined} "
             f"inconsistent_steps={audit.inconsistent_steps}"
         ]
-    write_estimates_csv(
-        output_path,
-        trace.t,
-        trace.point,
-        trace.center,
-        trace.radius,
-        trace.lower,
-        trace.upper,
-        mono_lower=trace.mono_lower,
-        mono_upper=trace.mono_upper,
-        inconsistent=trace.inconsistent,
-        comments=comments,
-    )
+    _write_trace(output_path, trace, comments)
     return audit

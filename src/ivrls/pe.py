@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rls import RlsConfig, rls_init, rls_step
+from .rls import RlsConfig, _gain_update
 
 __all__ = [
     "PeReport",
@@ -133,9 +133,7 @@ def contraction_constants(
     n: int, gamma1: float, gamma2: float, lam: float
 ) -> tuple[float, float]:
     """Envelope ||Phi(t, t0)||_F <= c rho^(t-t0) for error-transition products."""
-    _check_gammas(n, gamma1, gamma2)
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must lie in (0, 1), got {lam}")
+    _check_constants(n, gamma1, gamma2, lam)
     c = math.sqrt(n * gamma2 / gamma1)
     rho = math.sqrt(lam)
     return c, rho
@@ -146,17 +144,17 @@ def m_star(n: int, gamma1: float, gamma2: float, lam: float) -> float:
 
     Callers needing an integer window take ceil(m_star) + 1.
     """
-    _check_gammas(n, gamma1, gamma2)
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must lie in (0, 1), got {lam}")
+    _check_constants(n, gamma1, gamma2, lam)
     return -math.log(n * gamma2 / gamma1) / math.log(lam)
 
 
-def _check_gammas(n: int, gamma1: float, gamma2: float) -> None:
+def _check_constants(n: int, gamma1: float, gamma2: float, lam: float) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < gamma1 <= gamma2:
         raise ValueError(f"need 0 < gamma1 <= gamma2, got {gamma1}, {gamma2}")
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lam must lie in (0, 1), got {lam}")
 
 
 def iss_envelope(
@@ -288,11 +286,7 @@ class PeReport:
         return "\n".join(lines) + "\n"
 
     def to_csv_text(self) -> str:
-        lines = ["quantity,value"]
-        for line in self.to_kv_text().strip().split("\n"):
-            key, _, value = line.partition("=")
-            lines.append(f"{key},{value}")
-        return "\n".join(lines) + "\n"
+        return "quantity,value\n" + self.to_kv_text().replace("=", ",")
 
 
 def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeReport:
@@ -302,6 +296,8 @@ def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeRep
     the noise level eta_v for the asymptotic radius bounds.
     """
     X = _regressors(X)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("x must be finite")
     N, n = X.shape
     T = 2 * n if T is None else int(T)
     alpha, beta = pe_levels(X, T)
@@ -318,11 +314,12 @@ def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeRep
 
     # Empirical gain norms come from replaying the covariance recursion;
     # the gain does not depend on the outputs.
-    state = rls_init(RlsConfig(theta0=np.zeros(n), P0=P0, lam=lam))
+    config = RlsConfig(theta0=np.zeros(n), P0=P0, lam=lam)
+    P = config.P0
     eta_q = 0.0
-    for x in X:
-        state = rls_step(state, x, 0.0)
-        eta_q = max(eta_q, float(np.linalg.norm(state.last_q)))
+    for t, x in enumerate(X, 1):
+        q, P = _gain_update(P, x, config.lam, t)
+        eta_q = max(eta_q, float(np.linalg.norm(q)))
 
     is_pe = alpha > 0.0
     nan = math.nan

@@ -112,6 +112,24 @@ def rls_init(config: RlsConfig) -> RlsState:
     )
 
 
+def _gain_update(P: np.ndarray, x: np.ndarray, lam: float, t: int):
+    """Gain q(t) and covariance P(t) from P(t-1) and a finite regressor,
+    failing fast at step t when P loses definiteness or overflows."""
+    Px = P @ x
+    denom = lam + x @ Px
+    if denom <= 0.0 or not np.isfinite(denom):
+        raise ArithmeticError(
+            f"gain denominator {denom:g} at t={t}: covariance lost "
+            "positive definiteness"
+        )
+    q = Px / denom
+    P = (P - np.outer(q, Px)) / lam
+    P = 0.5 * (P + P.T)
+    if not math.isfinite(P.sum()):
+        raise ArithmeticError(f"covariance overflow at t={t}: P is no longer finite")
+    return q, P
+
+
 def rls_step(state: RlsState, x, y: float) -> RlsState:
     """One update with regressor x and scalar output y."""
     x = _vector(x, "x")
@@ -124,22 +142,8 @@ def rls_step(state: RlsState, x, y: float) -> RlsState:
     if not np.isfinite(y):
         raise ValueError(f"y must be finite, got {y}")
 
-    lam = state.config.lam
-    Px = state.P @ x
-    denom = lam + x @ Px
-    if denom <= 0.0 or not np.isfinite(denom):
-        raise ArithmeticError(
-            f"gain denominator {denom:g} at t={state.t + 1}: covariance lost "
-            "positive definiteness"
-        )
-    q = Px / denom
+    q, P = _gain_update(state.P, x, state.config.lam, state.t + 1)
     theta = state.theta + q * (y - x @ state.theta)
-    P = (state.P - np.outer(q, Px)) / lam
-    P = 0.5 * (P + P.T)
-    if not math.isfinite(P.sum()):
-        raise ArithmeticError(
-            f"covariance overflow at t={state.t + 1}: P is no longer finite"
-        )
     A = np.eye(n) - np.outer(q, x)
     return RlsState(
         config=state.config,
@@ -149,4 +153,3 @@ def rls_step(state: RlsState, x, y: float) -> RlsState:
         last_q=q,
         last_A=A,
     )
-

@@ -77,6 +77,12 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
                "--config", str(cfg)])
     assert rc == 1
     assert "modes: modes must be 'exact' or integers" in capsys.readouterr().err
+    # so is a value the flag's int() or float() conversion refuses
+    cfg.write_text("runs = many\n")
+    rc = main(["simulate-lti", "--seed", "1", "--out", str(tmp_path / "o"),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert f"{cfg}: runs: invalid literal for int()" in capsys.readouterr().err
 
 
 class _Captured(Exception):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivrls.data import Dataset, write_estimates_csv
+from ivrls.data import _CHUNK_ROWS, Dataset, write_estimates_csv
 
 
 def make_dataset(rng, N=12, n=3, with_v=True, with_theta=True, with_delta=False):
@@ -100,6 +100,61 @@ def test_unparsable_field_names_column(tmp_path):
         Dataset.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("nan,0,0,-0.1,0.1", "line 3, column 't': non-finite value nan"),
+        ("1.5,0,0,-0.1,0.1", "line 3, column 't': t must be an integer, got 1.5"),
+        ("2,inf,0,-0.1,0.1", "line 3, column 'y': non-finite value inf"),
+        ("2,0,-inf,-0.1,0.1", "line 3, column 'x_1': non-finite value -inf"),
+        ("2,0,0,-0.1,nan", "line 3, column 'v_hi': non-finite value nan"),
+    ],
+)
+def test_non_finite_or_fractional_values_rejected_with_line_and_column(
+    tmp_path, row, message
+):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,y,x_1,v_lo,v_hi\n1,0,0,-0.1,0.1\n{row}\n")
+    with pytest.raises(ValueError, match=message):
+        Dataset.from_csv(path)
+
+
+def test_comments_blank_lines_and_crlf_accepted(tmp_path):
+    rng = np.random.default_rng(4)
+    ds = make_dataset(rng, N=5, n=2, with_delta=True)
+    path = tmp_path / "ds.csv"
+    ds.to_csv(path)
+    lines = path.read_text().splitlines()
+    noisy = ["# written by hand", lines[0], "", lines[1], "# note", lines[2]]
+    noisy += ["", ""] + lines[3:]
+    path.write_bytes(("\r\n".join(noisy) + "\r\n").encode())
+    back = Dataset.from_csv(path)
+    for name in ("t", "X", "y", "v_low", "v_high", "v", "theta_true",
+                 "delta_low", "delta_high"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+    # reported line numbers count the skipped lines
+    cells = noisy[-1].split(",")
+    cells[1] = "nan"
+    noisy[-1] = ",".join(cells)
+    path.write_text("\n".join(noisy) + "\n")
+    with pytest.raises(ValueError, match=f"line {len(noisy)}, column 'y'"):
+        Dataset.from_csv(path)
+
+
+def test_roundtrip_longer_than_one_formatting_chunk(tmp_path):
+    rng = np.random.default_rng(5)
+    ds = make_dataset(rng, N=2 * _CHUNK_ROWS + 3, n=3, with_delta=True)
+    path = tmp_path / "ds.csv"
+    ds.to_csv(path)
+    assert len(path.read_text().splitlines()) == 1 + ds.N
+    back = Dataset.from_csv(path)
+    np.testing.assert_array_equal(back.t, ds.t)
+    for name in ("X", "y", "v_low", "v_high", "v", "theta_true",
+                 "delta_low", "delta_high"):
+        a, b = getattr(ds, name), getattr(back, name)
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_partial_optional_group_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,y,x_1,x_2,v_lo,v_hi,theta_true_1\n1,0,0,0,-0.1,0.1,0\n")
@@ -172,3 +227,51 @@ def test_write_estimates_csv_without_mono(tmp_path):
     header = path.read_text().splitlines()[0]
     assert "mono" not in header
     assert header.endswith("inconsistent")
+    with pytest.raises(ValueError, match="differ in length"):
+        write_estimates_csv(path, np.arange(N - 1), zeros, zeros, zeros, zeros, zeros)
+    with pytest.raises(ValueError, match="differ in length"):
+        write_estimates_csv(path, np.arange(N), zeros, zeros, zeros, zeros, zeros,
+                            inconsistent=np.zeros(N + 1, dtype=int))
+
+
+SPECIAL_VALUES = [0.1, -0.0, 5e-324, 1.7976931348623157e308, -1.0 / 3.0, 1e22, 0.0]
+
+
+def _estimate_blocks(N, n, rng):
+    blocks = [rng.normal(size=(N, n)) for _ in range(7)]
+    flat = blocks[0].reshape(-1)
+    flat[: len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    blocks[5].reshape(-1)[-len(SPECIAL_VALUES):] = SPECIAL_VALUES
+    return blocks
+
+
+def test_write_estimates_csv_roundtrips_every_block_exactly(tmp_path):
+    rng = np.random.default_rng(6)
+    N, n = 2 * _CHUNK_ROWS + 5, 3
+    blocks = _estimate_blocks(N, n, rng)
+    t = np.arange(1, N + 1)
+    counts = rng.integers(0, 40, size=N)
+    path = tmp_path / "est.csv"
+    write_estimates_csv(path, t, *blocks[:5], mono_lower=blocks[5],
+                        mono_upper=blocks[6], inconsistent=counts)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + N
+    table = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(table[:, 0], t)
+    np.testing.assert_array_equal(table[:, -1], counts)
+    for k, block in enumerate(blocks):
+        back = table[:, 1 + k * n : 1 + (k + 1) * n]
+        np.testing.assert_array_equal(back.view(np.uint64), block.view(np.uint64))
+
+
+def test_write_estimates_csv_float_format_is_17_significant_digits(tmp_path):
+    N, n = len(SPECIAL_VALUES), 1
+    values = np.array(SPECIAL_VALUES).reshape(N, n)
+    path = tmp_path / "est.csv"
+    write_estimates_csv(path, np.arange(N), values, values, values, values, values,
+                        inconsistent=np.arange(N) * 7)
+    for i, line in enumerate(path.read_text().splitlines()[1:]):
+        cells = line.split(",")
+        expected = format(SPECIAL_VALUES[i], ".17g")
+        assert cells == [str(i)] + [expected] * 5 + [str(7 * i)]
+    assert path.read_text().splitlines()[1].split(",")[1] == "0.10000000000000001"

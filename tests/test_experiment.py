@@ -43,9 +43,23 @@ def test_averages_are_componentwise_means():
     result = run_experiment(config, keep_traces=True)
     stacked = np.stack([result.traces[r][0].radius for r in range(2)])
     np.testing.assert_array_equal(result.average("exact").radius, stacked.mean(axis=0))
-    counts = result.average("exact").inconsistent_counts
+    counts = result.average("exact").inconsistent
     assert counts.shape == (config.horizon,)
     assert np.all(counts == 0)
+
+
+def test_averaged_inconsistent_column_counts_flagged_runs(tmp_path):
+    # a prior box that excludes the truth makes every run's refinement
+    # come up empty within a few steps
+    config = small_config(runs=3, modes=(None,), prior_radius=0.01)
+    result = run_experiment(config, keep_traces=True)
+    counts = result.average("exact").inconsistent
+    flags = np.stack([result.traces[r][0].inconsistent for r in range(3)])
+    np.testing.assert_array_equal(counts, flags.sum(axis=0))
+    assert counts.max() == config.runs
+    write_experiment(result, tmp_path)
+    lines = (tmp_path / "avg_exact.csv").read_text().splitlines()[1:]
+    assert [int(line.rsplit(",", 1)[1]) for line in lines] == counts.tolist()
 
 
 def test_parallel_matches_serial_bitwise():
@@ -92,6 +106,7 @@ def test_write_experiment_files(tmp_path):
         "run,seed,mode,raw_contained,refined_contained,inconsistent_steps"
     )
     assert len(audit_lines) == 1 + 2 * 2
+    assert audit_lines[1:3] == ["0,100,m10,1,1,0", "0,100,exact,1,1,0"]
     avg_lines = (tmp_path / "avg_exact.csv").read_text().splitlines()
     assert avg_lines[0].startswith("t,theta_hat_1")
     assert "mono_lo_1" in avg_lines[0]
@@ -107,6 +122,26 @@ def test_lambda_sweep_matches_single_experiment():
     )
     with pytest.raises(KeyError):
         sweep.final_width(0.9, "exact")
+
+
+
+def test_tables_without_refinement_leave_refined_blank(tmp_path):
+    result = run_experiment(small_config(runs=1, modes=(None,), monotonic=False))
+    write_experiment(result, tmp_path)
+    assert (tmp_path / "audit.csv").read_text().splitlines()[1] == "0,100,exact,1,,0"
+    assert "mono" not in (tmp_path / "avg_exact.csv").read_text().splitlines()[0]
+
+
+def test_sweep_csv_layout(tmp_path):
+    config = small_config(modes=(None,), runs=2)
+    sweep = lambda_sweep(config, [0.7])
+    sweep.to_csv(tmp_path / "sweep.csv")
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "lambda,mode,width_1,width_2,width_3,width_4"
+    widths = sweep.final_width(0.7, "exact")
+    assert lines[1] == ",".join(
+        ["0.69999999999999996", "exact"] + [format(w, ".17g") for w in widths]
+    )
 
 
 def test_estimate_from_csv_matches_library_run(tmp_path):

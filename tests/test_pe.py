@@ -206,3 +206,22 @@ def test_analyze_without_excitation_reports_nan():
     assert math.isnan(report.eta_v)
     # the kv block still serializes
     assert "is_pe=false" in report.to_kv_text()
+
+
+def test_analyze_gain_norms_match_the_full_identifier_replay():
+    # the covariance-only replay gives the same gains, bit for bit, as the
+    # full identifier driven by the real outputs
+    ds = generate_lti(SimConfig(horizon=300, seed=4), seed=4)
+    P0 = 1000.0 * np.eye(4)
+    report = analyze(ds.X, lam=0.99, P0=P0, noise_radius=0.2)
+    _, _, _, qs = collect_run(RlsConfig(theta0=np.zeros(4), P0=P0, lam=0.99), ds.X, ds.y)
+    assert report.eta_q == max(float(np.linalg.norm(q)) for q in qs)
+
+
+def test_analyze_rejects_bad_regressors_and_covariance():
+    X = np.tile(np.eye(2), (4, 1))
+    with pytest.raises(ValueError, match="positive definite"):
+        analyze(X, lam=0.9, P0=-np.eye(2))
+    X[3, 1] = np.inf
+    with pytest.raises(ValueError, match="x must be finite"):
+        analyze(X, lam=0.9, P0=np.eye(2))
