@@ -140,7 +140,7 @@ class Dataset:
     delta_high: np.ndarray | None = None
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=int)
+        self.t = np.asarray(self.t, dtype=np.int64)
         self.X = np.asarray(self.X, dtype=float)
         N = self.t.shape[0]
         if self.X.ndim != 2 or self.X.shape[0] != N:
@@ -208,6 +208,12 @@ class Dataset:
             pick = itemgetter(*map(header.index, names))
             data = np.empty((N, len(names)))
             linenos = np.empty(N, dtype=int)
+            # t is also read as an integer, since a float rounds it above
+            # 2^53; a row whose t is not an integer literal ("3.0") is
+            # flagged and takes its float value once that is checked
+            t = np.empty(N, dtype=np.int64)
+            t_from_float = np.zeros(N, dtype=bool)
+            t_at = header.index("t")
             for i, (lineno, line) in enumerate(lines):
                 linenos[i] = lineno
                 parts = line.split(",")
@@ -227,6 +233,10 @@ class Dataset:
                                 f"{path}: line {lineno}, column '{name}': "
                                 f"cannot parse {raw!r}"
                             ) from None
+                try:
+                    t[i] = int(parts[t_at])
+                except (ValueError, OverflowError):
+                    t_from_float[i] = True
 
         def reject(message, i, name=None):
             where = f"line {linenos[i]}" + ("" if name is None else f", column '{name}'")
@@ -239,13 +249,18 @@ class Dataset:
         bad = np.flatnonzero(data[:, 0] != np.trunc(data[:, 0]))
         if bad.size:
             reject(f"t must be an integer, got {float(data[bad[0], 0])!r}", bad[0], "t")
+        rows = np.flatnonzero(t_from_float)
+        bad = rows[np.abs(data[rows, 0]) >= 2.0**63]
+        if bad.size:
+            reject(f"t out of the int64 range, got {data[bad[0], 0]:g}", bad[0], "t")
+        t[rows] = data[rows, 0]
         lo, hi = data[:, slices["v_low"]], data[:, slices["v_high"]]
         bad = np.flatnonzero(lo > hi)
         if bad.size:
             i = bad[0]
             reject(f"v_lo={lo[i]:g} exceeds v_hi={hi[i]:g}", i)
 
-        ds = cls(**{field: data[:, sl].copy() for field, sl in slices.items()})
+        ds = cls(t=t, **{f: data[:, sl].copy() for f, sl in slices.items() if f != "t"})
         ds.validate()
         return ds
 

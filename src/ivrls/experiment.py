@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, _write_table, write_estimates_csv
 from .intervals import IntervalVector, from_center_radius
-from .lti import EstimatorConfig, LtiIntervalEstimator
+from .lti import EstimatorConfig, LtiIntervalEstimator, _Identifier
 from .rls import RlsConfig
 from .simulate import SimConfig, generate_lti, generate_ltv
 
@@ -112,20 +112,27 @@ class ExperimentResult:
 
 
 def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
-    """Apply every configured estimator mode to one dataset, in row order."""
-    n = dataset.n
-    drifts = [None] * dataset.N
+    """Apply every configured estimator mode to one dataset, in row order.
+
+    The modes share one identifier and are stepped sample-major, so each
+    sample goes through RLS once.
+    """
+    n, N = dataset.n, dataset.N
+    drifts = [None] * N
     if dataset.is_ltv:
         drifts = [IntervalVector(*b) for b in zip(dataset.delta_low, dataset.delta_high)]
-    traces = []
-    for m in config.modes:
-        est_cfg = estimator_config(
-            n, config.lam, config.p0_scale, config.prior_radius, m, config.monotonic
-        )
-        est = LtiIntervalEstimator(est_cfg)
-        shape = (dataset.N, n)
-        mono = config.monotonic
-        trace = ModeTrace(
+    base = estimator_config(
+        n, config.lam, config.p0_scale, config.prior_radius, None, config.monotonic
+    )
+    identifier = _Identifier(base.rls)
+    estimators = [
+        LtiIntervalEstimator(replace(base, m=m), identifier=identifier)
+        for m in config.modes
+    ]
+    shape = (N, n)
+    mono = config.monotonic
+    traces = [
+        ModeTrace(
             label=mode_label(m),
             t=dataset.t.copy(),
             point=np.zeros(shape),
@@ -135,22 +142,26 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
             upper=np.zeros(shape),
             mono_lower=np.zeros(shape) if mono else None,
             mono_upper=np.zeros(shape) if mono else None,
-            inconsistent=np.zeros(dataset.N, dtype=int),
+            inconsistent=np.zeros(N, dtype=int),
         )
-        for i in range(dataset.N):
-            est_out = est.step(
-                dataset.X[i], dataset.y[i], dataset.v_low[i], dataset.v_high[i], drifts[i]
-            )
+        for m in config.modes
+    ]
+    for i in range(N):
+        sample = (dataset.X[i], dataset.y[i], dataset.v_low[i], dataset.v_high[i], drifts[i])
+        for est, trace in zip(estimators, traces):
+            est_out = est.step(*sample)
             trace.point[i] = est_out.point
-            trace.center[i] = est_out.raw.center
-            trace.radius[i] = est_out.raw.radius
             trace.lower[i] = est_out.raw.lower
             trace.upper[i] = est_out.raw.upper
             if mono:
                 trace.mono_lower[i] = est_out.refined.lower
                 trace.mono_upper[i] = est_out.refined.upper
             trace.inconsistent[i] = est_out.inconsistent
-        traces.append(trace)
+    for trace in traces:
+        # the raw boxes' center and radius views, elementwise as the boxes
+        # compute them, so the same bits as reading them step by step
+        trace.center[:] = 0.5 * (trace.upper + trace.lower)
+        trace.radius[:] = 0.5 * (trace.upper - trace.lower)
     return traces
 
 

@@ -39,11 +39,13 @@ class IntervalVector:
                 f"dimension mismatch: lower has {lo.shape[0]} components, "
                 f"upper has {hi.shape[0]}"
             )
-        bad = np.flatnonzero(~((lo <= hi) & np.isfinite(lo) & np.isfinite(hi)))
-        if bad.size:
+        ok = (lo <= hi) & np.isfinite(lo) & np.isfinite(hi)
+        # count_nonzero skips the ufunc reduction machinery of ok.all(),
+        # which costs more than the mask itself at small n
+        if np.count_nonzero(ok) != ok.size:
             raise ValueError(
                 f"bound inversion (lower > upper, or non-finite bound) at "
-                f"components {bad.tolist()}"
+                f"components {np.flatnonzero(~ok).tolist()}"
             )
         lo.flags.writeable = False
         hi.flags.writeable = False

@@ -50,6 +50,16 @@ two-stack sliding-window product keeps without inverting anything.  The
 windowed radius dominates the exact one componentwise, so soundness is
 preserved at bounded cost; the excitation diagnostics certify
 boundedness of the recursion itself once m exceeds their threshold.
+Below it the recursion may diverge: the first step whose radius is no
+longer finite raises ArithmeticError naming t and m.
+
+Every mode bounds the error of the same reference identifier; only the
+bound differs with m.  So estimators of several modes over the same
+data may share one identifier: the first to step for a sample advances
+it, and the others reuse that state after checking they were given the
+same sample.  A Monte Carlo study builds every mode of a run on one
+identifier and steps them sample-major, so each sample goes through RLS
+once; the center and radius recursions stay per estimator.
 
 An optional monotonic post-processor intersects each instantaneous box
 with the running one.  A constant parameter lies in all of them; a
@@ -148,7 +158,7 @@ def _refine(bounds, raw: IntervalVector, drift: IntervalVector | None):
         hi = hi + drift.upper
     lo = np.maximum(lo, raw.lower)
     hi = np.minimum(hi, raw.upper)
-    return None if np.any(lo > hi) else (lo, hi)
+    return None if np.count_nonzero(lo > hi) else (lo, hi)
 
 
 class _RadiusRecursion:
@@ -264,10 +274,49 @@ class _RadiusRecursion:
         k = self._live = k + w
         np.abs(new[:k], out=rows[:k])
         radius = np.dot(self._radii[:k], rows[:k])
+        if np.count_nonzero(np.isfinite(radius)) != n:
+            mode = "exact" if m is None else m
+            raise ArithmeticError(
+                f"radius overflow at t={self.t}, m={mode}: the error bound is "
+                "no longer finite"
+            )
         self._rows, self._spare = new, rows
         if m is not None:
             self.radius_ring.append(radius)
         return radius
+
+
+class _Identifier:
+    """The RLS identifier of one data stream, which several estimators may
+    follow in lockstep.
+
+    The first estimator to ask for sample t advances it with `rls_step`;
+    the others get the same state back once they show the same x and y.
+    """
+
+    def __init__(self, config: RlsConfig):
+        self.config = config
+        self.state = rls_init(config)
+        self._sample = None
+
+    def advance(self, t: int, x, y) -> RlsState:
+        """The state after sample t, for an estimator that has taken t - 1."""
+        state = self.state
+        if state.t == t - 1:
+            state = self.state = rls_step(state, x, y)
+            self._sample = (np.asarray(x, dtype=float).tolist(), float(y))
+            return state
+        if state.t != t:
+            raise ValueError(
+                f"step {t}: the shared identifier is at step {state.t}; "
+                "estimators sharing it must step in lockstep"
+            )
+        if (np.asarray(x, dtype=float).tolist(), float(y)) != self._sample:
+            raise ValueError(
+                f"step {t}: x and y differ from the sample the shared "
+                "identifier took at this step"
+            )
+        return state
 
 
 class LtiIntervalEstimator:
@@ -275,11 +324,27 @@ class LtiIntervalEstimator:
 
     Every step either carries a drift box or none does: the first step
     fixes which, because the stored terms of the two cases differ in width.
+    `identifier` lets estimators of other modes over the same samples share
+    one RLS identifier (it must be built on the same RlsConfig object and
+    not have stepped yet); by default each estimator has its own.
     """
 
-    def __init__(self, config: EstimatorConfig):
+    def __init__(self, config: EstimatorConfig, *, identifier: _Identifier | None = None):
+        if identifier is None:
+            identifier = _Identifier(config.rls)
+        elif identifier.config is not config.rls:
+            raise ValueError(
+                "a shared identifier must be built on the estimator's own "
+                "RlsConfig object"
+            )
+        elif identifier.state.t != 0:
+            raise ValueError(
+                f"a shared identifier must be new, this one is at step "
+                f"{identifier.state.t}"
+            )
         self.config = config
-        self._rls_state = rls_init(config.rls)
+        self._identifier = identifier
+        self._rls_state = identifier.state
         self._center = config.theta_prior.center
         self._engine = _RadiusRecursion(
             config.rls.n,
@@ -331,14 +396,14 @@ class LtiIntervalEstimator:
             )
         c_v = 0.5 * (v_low + v_high)
         r_v = 0.5 * (v_high - v_low)
-        state = rls_step(self._rls_state, x, y)
+        state = self._identifier.advance(self.t + 1, x, y)
         self._rls_state = state
         A = state.last_A
         q = state.last_q
         self._center = A @ self._center + q * (float(y) - c_v)
         if drift is None:
             term = q[:, None]
-            term_radius = np.array([r_v])
+            term_radius = r_v
         else:
             self._center = self._center + A @ drift.center
             term = np.concatenate([q[:, None], -A], axis=1)

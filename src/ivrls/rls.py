@@ -117,7 +117,7 @@ def _gain_update(P: np.ndarray, x: np.ndarray, lam: float, t: int):
     failing fast at step t when P loses definiteness or overflows."""
     Px = P @ x
     denom = lam + x @ Px
-    if denom <= 0.0 or not np.isfinite(denom):
+    if denom <= 0.0 or not math.isfinite(denom):
         raise ArithmeticError(
             f"gain denominator {denom:g} at t={t}: covariance lost "
             "positive definiteness"
@@ -136,10 +136,10 @@ def rls_step(state: RlsState, x, y: float) -> RlsState:
     n = state.config.n
     if x.shape[0] != n:
         raise ValueError(f"x must have {n} components, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
+    if np.count_nonzero(np.isfinite(x)) != n:
         raise ValueError("x must be finite")
     y = float(y)
-    if not np.isfinite(y):
+    if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y}")
 
     q, P = _gain_update(state.P, x, state.config.lam, state.t + 1)

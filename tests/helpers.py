@@ -9,7 +9,9 @@ are hulled by exhaustive vertex enumeration or by the closed-form
 
 import numpy as np
 
+from ivrls.experiment import ModeTrace, estimator_config, mode_label
 from ivrls.intervals import IntervalVector
+from ivrls.lti import LtiIntervalEstimator
 from ivrls.rls import rls_init, rls_step
 
 ENUM_CHUNK = 1 << 14
@@ -146,3 +148,45 @@ def vertex_oracle(X, y, v_bounds, theta_prior, rls_config, drifts=None, method="
         err_lo, err_hi = hull.lower, hull.upper
     theta_t = thetas[-1] if t else rls_config.theta0
     return IntervalVector(theta_t - err_hi, theta_t - err_lo)
+
+
+def mode_major_run_dataset(dataset, config):
+    """`run_dataset` as a mode-major loop: one estimator with its own
+    identifier per mode, each stepped through the whole dataset in turn."""
+    drifts = [None] * dataset.N
+    if dataset.is_ltv:
+        drifts = [IntervalVector(*b) for b in zip(dataset.delta_low, dataset.delta_high)]
+    shape = (dataset.N, dataset.n)
+    mono = config.monotonic
+    traces = []
+    for m in config.modes:
+        est = LtiIntervalEstimator(estimator_config(
+            dataset.n, config.lam, config.p0_scale, config.prior_radius, m, mono
+        ))
+        trace = ModeTrace(
+            label=mode_label(m),
+            t=dataset.t.copy(),
+            point=np.zeros(shape),
+            center=np.zeros(shape),
+            radius=np.zeros(shape),
+            lower=np.zeros(shape),
+            upper=np.zeros(shape),
+            mono_lower=np.zeros(shape) if mono else None,
+            mono_upper=np.zeros(shape) if mono else None,
+            inconsistent=np.zeros(dataset.N, dtype=int),
+        )
+        for i in range(dataset.N):
+            out = est.step(
+                dataset.X[i], dataset.y[i], dataset.v_low[i], dataset.v_high[i], drifts[i]
+            )
+            trace.point[i] = out.point
+            trace.center[i] = out.raw.center
+            trace.radius[i] = out.raw.radius
+            trace.lower[i] = out.raw.lower
+            trace.upper[i] = out.raw.upper
+            if mono:
+                trace.mono_lower[i] = out.refined.lower
+                trace.mono_upper[i] = out.refined.upper
+            trace.inconsistent[i] = out.inconsistent
+        traces.append(trace)
+    return traces

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -275,3 +277,29 @@ def test_write_estimates_csv_float_format_is_17_significant_digits(tmp_path):
         expected = format(SPECIAL_VALUES[i], ".17g")
         assert cells == [str(i)] + [expected] * 5 + [str(7 * i)]
     assert path.read_text().splitlines()[1].split(",")[1] == "0.10000000000000001"
+
+
+def test_t_roundtrips_as_an_exact_integer(tmp_path):
+    rng = np.random.default_rng(6)
+    ds = replace(make_dataset(rng, N=3, n=2),
+                 t=[9007199254740993, 9007199254740994, 2**63 - 1])
+    path = tmp_path / "ds.csv"
+    ds.to_csv(path)
+    text = path.read_text().splitlines()
+    assert [line.split(",")[0] for line in text[1:]] == [
+        "9007199254740993", "9007199254740994", "9223372036854775807"]
+    back = Dataset.from_csv(path)
+    assert back.t.dtype == np.int64
+    assert back.t.tolist() == [9007199254740993, 9007199254740994, 2**63 - 1]
+    back.to_csv(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_t_written_as_a_float_is_read_by_value(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("t,y,x_1,v_lo,v_hi\n1.0,0,0,-0.1,0.1\n2e0,0,0,-0.1,0.1\n3,0,0,-0.1,0.1\n")
+    back = Dataset.from_csv(path)
+    assert back.t.dtype == np.int64 and back.t.tolist() == [1, 2, 3]
+    path.write_text("t,y,x_1,v_lo,v_hi\n1,0,0,-0.1,0.1\n9223372036854775808,0,0,-0.1,0.1\n")
+    with pytest.raises(ValueError, match="line 3, column 't': t out of the int64 range"):
+        Dataset.from_csv(path)

@@ -1,9 +1,11 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from ivrls import lti
 from ivrls.experiment import (
+    ModeTrace,
     estimate_from_csv,
     estimator_config,
     lambda_sweep,
@@ -13,7 +15,9 @@ from ivrls.experiment import (
     write_experiment,
 )
 from ivrls.lti import LtiIntervalEstimator
-from ivrls.simulate import REFERENCE_DRIFT_RADIUS, SimConfig, generate_lti
+from ivrls.simulate import REFERENCE_DRIFT_RADIUS, SimConfig, generate_lti, generate_ltv
+
+from helpers import mode_major_run_dataset
 
 
 def small_config(**kwargs):
@@ -132,7 +136,7 @@ def test_tables_without_refinement_leave_refined_blank(tmp_path):
     assert "mono" not in (tmp_path / "avg_exact.csv").read_text().splitlines()[0]
 
 
-def test_sweep_csv_layout(tmp_path):
+def test_sweep_csv_row_holds_lambda_mode_and_widths(tmp_path):
     config = small_config(modes=(None,), runs=2)
     sweep = lambda_sweep(config, [0.7])
     sweep.to_csv(tmp_path / "sweep.csv")
@@ -227,3 +231,40 @@ def test_sweep_csv_layout(tmp_path):
     assert lines[0] == "lambda,mode,width_1,width_2,width_3,width_4"
     assert len(lines) == 1 + 2
     assert lines[1].startswith("0.59999999999999998,exact,")
+
+
+@pytest.mark.parametrize("drifting", [False, True])
+@pytest.mark.parametrize("monotonic", [False, True])
+def test_run_dataset_equals_the_mode_major_loop(drifting, monotonic):
+    config = small_config(modes=(1, 7, None), monotonic=monotonic)
+    if drifting:
+        config = replace(config, drift_radius=REFERENCE_DRIFT_RADIUS, lam=0.1)
+        ds = generate_ltv(config, seed=config.seed)
+    else:
+        ds = generate_lti(config, seed=config.seed)
+    shared = run_dataset(ds, config)
+    separate = mode_major_run_dataset(ds, config)
+    assert [tr.label for tr in shared] == [tr.label for tr in separate]
+    for a, b in zip(shared, separate):
+        for f in fields(ModeTrace):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "label" or y is None:
+                assert x == y
+            else:  # bit for bit, signed zeros included
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes(), f.name
+
+
+def test_run_dataset_steps_the_identifier_once_per_sample(monkeypatch):
+    calls = []
+    original = lti.rls_step
+
+    def counted(state, x, y):
+        calls.append(state.t)
+        return original(state, x, y)
+
+    monkeypatch.setattr(lti, "rls_step", counted)
+    config = small_config(modes=(10, 20, None))
+    ds = generate_lti(config, seed=config.seed)
+    run_dataset(ds, config)
+    assert calls == list(range(ds.N))

@@ -187,3 +187,39 @@ def test_dimension_mismatches():
         contains(a, [0.0, 0.0])
     with pytest.raises(ValueError, match="mismatch"):
         IntervalVector([0.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "lower, upper, error",
+    [
+        ([0.0, np.nan], [1.0, 1.0], r"non-finite bound\) at components \[1\]"),
+        ([0.0, 0.0], [np.nan, 1.0], r"non-finite bound\) at components \[0\]"),
+        ([np.inf, 0.0], [np.inf, 1.0], r"components \[0\]"),
+        ([0.0, 0.0], [1.0, np.inf], r"components \[1\]"),
+        ([-np.inf, 0.0], [1.0, 1.0], r"components \[0\]"),
+        ([0.0, -np.inf], [1.0, -np.inf], r"components \[1\]"),
+        ([2.0, 0.0, 3.0], [1.0, 1.0, 2.0], r"bound inversion .* components \[0, 2\]"),
+        ([[0.0, 1.0]], [[1.0, 2.0]], "lower must be a 1-d vector, got shape"),
+        ([0.0, 1.0], [[1.0, 2.0]], "upper must be a 1-d vector, got shape"),
+        ([0.0, 1.0], [1.0, 2.0, 3.0], "lower has 2 components, upper has 3"),
+        ([-1.0, 0.0, 2.0], [1.0, 0.0, 5.0], None),
+        ([-1e308], [1e308], None),
+    ],
+)
+def test_box_contract(lower, upper, error):
+    lower, upper = np.array(lower, dtype=float), np.array(upper, dtype=float)
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            IntervalVector(lower, upper)
+        return
+    box = IntervalVector(lower, upper)
+    expected = lower.copy(), upper.copy()
+    # the box copied its inputs: mutating them leaves it unchanged
+    lower += 1.0
+    upper -= 1.0
+    np.testing.assert_array_equal(box.lower, expected[0])
+    np.testing.assert_array_equal(box.upper, expected[1])
+    for arr in (box.lower, box.upper):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 3.0

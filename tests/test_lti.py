@@ -1,10 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ivrls import lti
 from ivrls.intervals import IntervalVector, from_center_radius
-from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, _refine
+from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, _Identifier, _refine
 from ivrls.rls import RlsConfig
-from ivrls.simulate import REFERENCE_THETA, SimConfig, generate_lti
+from ivrls.simulate import (
+    REFERENCE_DRIFT_RADIUS,
+    REFERENCE_THETA,
+    SimConfig,
+    generate_lti,
+    generate_ltv,
+)
 
 from helpers import phi_product, random_spd, vertex_oracle
 
@@ -299,3 +308,126 @@ def test_asymmetric_noise_bounds_shift_center():
         v = rng.uniform(0.05, 0.25)  # noise lives in [0.05, 0.25], not centered
         out = est.step(x, x @ theta + v, 0.05, 0.25)
         assert out.raw.contains(theta, slack=1e-9)
+
+
+def shared_estimators(rls, modes, monotonic=True, prior=4.0):
+    """Estimators of the given modes, all following one identifier."""
+    n = rls.n
+    base = EstimatorConfig(
+        rls=rls,
+        theta_prior=from_center_radius(np.zeros(n), np.full(n, prior)),
+        monotonic=monotonic,
+    )
+    identifier = _Identifier(rls)
+    return [
+        LtiIntervalEstimator(replace(base, m=m), identifier=identifier) for m in modes
+    ]
+
+
+@pytest.mark.parametrize("drifting", [False, True])
+def test_shared_identifier_matches_independent_estimators(drifting):
+    modes = (1, 7, None)
+    lam = 0.1 if drifting else 0.99
+    config = SimConfig(horizon=60, seed=24, lam=lam,
+                       drift_radius=REFERENCE_DRIFT_RADIUS if drifting else None)
+    ds = generate_ltv(config, seed=24) if drifting else generate_lti(config, seed=24)
+    rls = RlsConfig(theta0=np.zeros(4), P0=1000.0 * np.eye(4), lam=lam)
+    shared = shared_estimators(rls, modes)
+    alone = [LtiIntervalEstimator(make_config(lam=lam, m=m, monotonic=True))
+             for m in modes]
+    for i in range(ds.N):
+        drift = None
+        if drifting:
+            drift = IntervalVector(ds.delta_low[i], ds.delta_high[i])
+        sample = (ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
+        for a, b in zip(shared, alone):
+            out, ref = a.step(*sample), b.step(*sample)
+            assert out.t == ref.t == i + 1 and out.inconsistent == ref.inconsistent
+            for x, y in ((out.point, ref.point),
+                         (out.raw.lower, ref.raw.lower), (out.raw.upper, ref.raw.upper),
+                         (out.refined.lower, ref.refined.lower),
+                         (out.refined.upper, ref.refined.upper)):
+                assert x.tobytes() == y.tobytes()
+    # every estimator keeps its own view of the identifier's state
+    assert all(a.rls_state is shared[0].rls_state for a in shared)
+
+
+def test_shared_identifier_steps_rls_once_per_sample(monkeypatch):
+    calls = []
+    original = lti.rls_step
+
+    def counted(state, x, y):
+        calls.append(state.t)
+        return original(state, x, y)
+
+    monkeypatch.setattr(lti, "rls_step", counted)
+    rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
+    ests = shared_estimators(rls, (1, 3, None))
+    rng = np.random.default_rng(25)
+    for _ in range(5):
+        x, y = rng.normal(size=2), rng.normal()
+        for est in ests:
+            est.step(x, y, -0.1, 0.1)
+    assert calls == [0, 1, 2, 3, 4]
+    # a follower that has not stepped yet still sees its own state
+    lead, follow = shared_estimators(rls, (1, None))
+    lead.step([1.0, 0.0], 0.5, -0.1, 0.1)
+    assert lead.t == 1 and follow.t == 0 and follow.rls_state.t == 0
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [([1.0, 2.0], 0.6), ([1.0, 2.5], 0.5), ([[1.0, 2.0]], 0.5), ([np.nan, 2.0], 0.5)],
+)
+def test_follower_given_another_sample_is_refused(x, y):
+    rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
+    lead, follow = shared_estimators(rls, (2, None))
+    for _ in range(2):
+        lead.step([0.5, -1.0], 0.1, -0.1, 0.1)
+        follow.step(np.array([0.5, -1.0]), 0.1, -0.1, 0.1)
+    lead.step([1.0, 2.0], 0.5, -0.1, 0.1)
+    state = follow.rls_state
+    with pytest.raises(ValueError, match="step 3: x and y differ"):
+        follow.step(x, y, -0.1, 0.1)
+    assert follow.t == 2 and follow.rls_state is state
+    follow.step([1.0, 2.0], 0.5, -0.1, 0.1)
+    assert follow.t == 3
+
+
+def test_shared_identifier_requires_lockstep():
+    rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
+    lead, follow = shared_estimators(rls, (2, None))
+    lead.step([1.0, 0.0], 0.5, -0.1, 0.1)
+    lead.step([0.0, 1.0], 0.5, -0.1, 0.1)
+    with pytest.raises(ValueError, match="step 1: the shared identifier is at step 2"):
+        follow.step([1.0, 0.0], 0.5, -0.1, 0.1)
+    with pytest.raises(ValueError, match="must be new, this one is at step 2"):
+        LtiIntervalEstimator(lead.config, identifier=lead._identifier)
+
+
+def test_sharing_needs_the_same_rls_config_object():
+    config = make_config(n=2, lam=0.9)
+    # equal settings are not enough: the identifier must hold this very object
+    twin = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
+    with pytest.raises(ValueError, match="RlsConfig object"):
+        LtiIntervalEstimator(config, identifier=_Identifier(twin))
+    with pytest.raises(TypeError):
+        LtiIntervalEstimator(config, _Identifier(config.rls))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_radius_overflow_fails_fast_naming_step_and_window(seed):
+    # lambda = 0.1 with a window of 2, far below the certified m*: the
+    # windowed radius recursion blows up within 2000 steps
+    config = SimConfig(horizon=2000, seed=seed, lam=0.1, modes=(2,),
+                       drift_radius=REFERENCE_DRIFT_RADIUS, drift_period=30.0)
+    ds = generate_ltv(config, seed=seed)
+    est = LtiIntervalEstimator(make_config(lam=0.1, m=2, monotonic=True))
+    last = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match=r"radius overflow at t=(\d+), m=2") as err:
+            for i in range(ds.N):
+                drift = IntervalVector(ds.delta_low[i], ds.delta_high[i])
+                last = est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
+    t = int(err.value.args[0].split("t=")[1].split(",")[0])
+    assert t == last.t + 1
