@@ -114,8 +114,10 @@ class ExperimentResult:
 def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
     """Apply every configured estimator mode to one dataset, in row order.
 
-    The modes share one identifier and are stepped sample-major, so each
-    sample goes through RLS once.
+    The modes share one per-sample stage and are stepped sample-major, so
+    each sample goes through RLS and the center recursion once; the
+    estimates' bound arrays are copied into the traces without building
+    box objects.
     """
     n, N = dataset.n, dataset.N
     drifts = [None] * N
@@ -124,7 +126,7 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
     base = estimator_config(
         n, config.lam, config.p0_scale, config.prior_radius, None, config.monotonic
     )
-    identifier = _Identifier(base.rls)
+    identifier = _Identifier(base.rls, base.theta_prior)
     estimators = [
         LtiIntervalEstimator(replace(base, m=m), identifier=identifier)
         for m in config.modes
@@ -146,22 +148,23 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
         )
         for m in config.modes
     ]
-    for i in range(N):
-        sample = (dataset.X[i], dataset.y[i], dataset.v_low[i], dataset.v_high[i], drifts[i])
+    samples = zip(dataset.X, dataset.y.tolist(), dataset.v_low.tolist(),
+                  dataset.v_high.tolist(), drifts)
+    for i, sample in enumerate(samples):
         for est, trace in zip(estimators, traces):
             est_out = est.step(*sample)
             trace.point[i] = est_out.point
-            trace.lower[i] = est_out.raw.lower
-            trace.upper[i] = est_out.raw.upper
+            trace.lower[i] = est_out.lower
+            trace.upper[i] = est_out.upper
             if mono:
-                trace.mono_lower[i] = est_out.refined.lower
-                trace.mono_upper[i] = est_out.refined.upper
+                trace.mono_lower[i] = est_out.refined_lower
+                trace.mono_upper[i] = est_out.refined_upper
             trace.inconsistent[i] = est_out.inconsistent
     for trace in traces:
         # the raw boxes' center and radius views, elementwise as the boxes
         # compute them, so the same bits as reading them step by step
-        trace.center[:] = 0.5 * (trace.upper + trace.lower)
-        trace.radius[:] = 0.5 * (trace.upper - trace.lower)
+        trace.center[:] = 0.5 * trace.upper + 0.5 * trace.lower
+        trace.radius[:] = 0.5 * trace.upper - 0.5 * trace.lower
     return traces
 
 

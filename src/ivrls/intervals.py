@@ -1,15 +1,18 @@
 """Axis-aligned boxes in R^n and the operations the estimators need.
 
 A box is stored by its bound pair (lower, upper).  The equivalent
-(center, radius) view, with center = (upper + lower) / 2 and
-radius = (upper - lower) / 2, is derived on demand; radius is always
-nonnegative by construction.  All operations are pure and never mutate
-their inputs, and the stored arrays are marked read-only so instances
-can be shared freely.
+(center, radius) view, with center = upper/2 + lower/2 and
+radius = upper/2 - lower/2, is derived on demand; radius is always
+nonnegative by construction, and both stay finite for every valid box,
+bounds near +-DBL_MAX included.  Halving is exact in the normal range,
+so there they equal (upper +- lower)/2 bit for bit.  All operations are
+pure and never mutate their inputs, and the stored arrays are marked
+read-only so instances can be shared freely.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,21 @@ def _vector(value, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector, got shape {arr.shape}")
     return arr
+
+
+def _check_bounds(lo: np.ndarray, hi: np.ndarray) -> None:
+    """The box contract on two 1-d bound vectors of one shape: every bound
+    finite and lower <= upper, else ValueError naming the components."""
+    # one chained comparison per component: false for nan, for either
+    # infinity and for an inversion.  At the small n of this package a
+    # scalar loop costs a fifth of the equivalent ufunc calls.
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        if not -math.inf < a <= b < math.inf:
+            ok = (lo <= hi) & np.isfinite(lo) & np.isfinite(hi)
+            raise ValueError(
+                f"bound inversion (lower > upper, or non-finite bound) at "
+                f"components {np.flatnonzero(~ok).tolist()}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,16 +57,9 @@ class IntervalVector:
                 f"dimension mismatch: lower has {lo.shape[0]} components, "
                 f"upper has {hi.shape[0]}"
             )
-        ok = (lo <= hi) & np.isfinite(lo) & np.isfinite(hi)
-        # count_nonzero skips the ufunc reduction machinery of ok.all(),
-        # which costs more than the mask itself at small n
-        if np.count_nonzero(ok) != ok.size:
-            raise ValueError(
-                f"bound inversion (lower > upper, or non-finite bound) at "
-                f"components {np.flatnonzero(~ok).tolist()}"
-            )
-        lo.flags.writeable = False
-        hi.flags.writeable = False
+        _check_bounds(lo, hi)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -58,14 +69,16 @@ class IntervalVector:
 
     @property
     def center(self) -> np.ndarray:
-        return 0.5 * (self.upper + self.lower)
+        return 0.5 * self.upper + 0.5 * self.lower
 
     @property
     def radius(self) -> np.ndarray:
-        return 0.5 * (self.upper - self.lower)
+        return 0.5 * self.upper - 0.5 * self.lower
 
     @property
     def width(self) -> np.ndarray:
+        """upper - lower; overflows to inf where the true width exceeds
+        DBL_MAX, which a valid box with bounds near +-DBL_MAX can have."""
         return self.upper - self.lower
 
     def contains(self, point, slack: float = 0.0) -> bool:

@@ -54,12 +54,21 @@ Below it the recursion may diverge: the first step whose radius is no
 longer finite raises ArithmeticError naming t and m.
 
 Every mode bounds the error of the same reference identifier; only the
-bound differs with m.  So estimators of several modes over the same
-data may share one identifier: the first to step for a sample advances
-it, and the others reuse that state after checking they were given the
-same sample.  A Monte Carlo study builds every mode of a run on one
-identifier and steps them sample-major, so each sample goes through RLS
-once; the center and radius recursions stay per estimator.
+bound differs with m.  So everything without m in it belongs to one
+shared per-sample stage: the RLS step, the center c(t), the term block
+B(t) with its radii, and the contiguous A(t)' the radius engine
+multiplies by.  Estimators of several modes over the same data may
+follow one stage: the first to step for a sample advances it, and the
+others reuse its results after checking they were given the same sample
+(x, y, noise bounds and the same drift box object).  A standalone
+estimator is a stage of one.  A Monte Carlo study builds every mode of a
+run on one stage and steps them sample-major, so each sample goes
+through RLS once; only the radius recursion and the refinement are per
+estimator.
+
+An estimate carries its bounds as read-only arrays, checked against the
+box contract when the step makes them; the IntervalVector views `raw`
+and `refined` are built on first read.
 
 An optional monotonic post-processor intersects each instantaneous box
 with the running one.  A constant parameter lies in all of them; a
@@ -81,10 +90,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .intervals import IntervalVector
+from .intervals import IntervalVector, _check_bounds
 from .rls import RlsConfig, RlsState, rls_init, rls_step
 
 __all__ = [
@@ -133,31 +143,55 @@ class EstimatorConfig:
 class IntervalEstimate:
     """One time step of estimator output.
 
-    raw is the propagated box; refined is the monotonic intersection
-    (None when disabled).  Once inconsistent is set, refined is frozen at
-    the last consistent box and stays flagged.
+    lower and upper bound the propagated box; refined_lower and
+    refined_upper the monotonic intersection (None when disabled).  Once
+    inconsistent is set, the refined bounds are frozen at the last
+    consistent box and stay flagged.  The arrays are read-only and may be
+    shared with other estimates: refined bounds are the same arrays for
+    as long as they do not change.  raw and refined are the same bounds
+    as IntervalVector boxes, built on first read.
     """
 
     t: int
     point: np.ndarray
-    raw: IntervalVector
-    refined: IntervalVector | None
+    lower: np.ndarray
+    upper: np.ndarray
+    refined_lower: np.ndarray | None
+    refined_upper: np.ndarray | None
     inconsistent: bool
 
+    @cached_property
+    def raw(self):
+        return IntervalVector(self.lower, self.upper)
 
-def _refine(bounds, raw: IntervalVector, drift: IntervalVector | None):
+    @cached_property
+    def refined(self):
+        if self.refined_lower is None:
+            return None
+        return IntervalVector(self.refined_lower, self.refined_upper)
+
+
+def _refine(bounds, lower, upper, drift: IntervalVector | None):
     """One step of the running intersection of the refined bounds.
 
     bounds is the (lower, upper) pair carried so far; a drift box first
-    translates it by the admissible increment.  Returns the new pair, or
-    None when the intersection is empty in some component.
+    translates it by the admissible increment.  Returns the new pair,
+    which is the carried (or translated) pair itself when it lies strictly
+    inside the raw bounds, or None when the intersection is empty in some
+    component.
     """
     lo, hi = bounds
     if drift is not None:
         lo = lo + drift.lower
         hi = hi + drift.upper
-    lo = np.maximum(lo, raw.lower)
-    hi = np.minimum(hi, raw.upper)
+        bounds = (lo, hi)
+    # strictly inside only: on a tie np.maximum and np.minimum pick the raw
+    # bound, which matters for the sign of a zero
+    inside = (lower < lo) & (upper > hi)
+    if np.count_nonzero(inside) == inside.size:
+        return bounds
+    lo = np.maximum(lo, lower)
+    hi = np.minimum(hi, upper)
     return None if np.count_nonzero(lo > hi) else (lo, hi)
 
 
@@ -250,12 +284,15 @@ class _RadiusRecursion:
         else:
             out[...] = self._front
 
-    def step(self, A, term, term_radius) -> np.ndarray:
+    def step(self, At, term_rows, term_radius) -> np.ndarray:
+        """Append this step's terms and return r(t).
+
+        At is A(t)' and term_rows is B(t)', both C-contiguous: gemm with a
+        transposed operand is several times slower here.
+        """
         n, m, k = self.n, self.window, self._live
-        w = self.term_width = term.shape[1]
+        w = self.term_width = term_rows.shape[0]
         self.t += 1
-        # contiguous: gemm with a transposed operand is several times slower here
-        At = A.T.copy()
         if m is None or self.t <= m:
             self._reserve(k + w)
             rows, new = self._rows, self._spare
@@ -269,12 +306,12 @@ class _RadiusRecursion:
             radii[n:k] = radii[n + w : k + w]
             self._slide_anchor(At, new[:n])
             radii[:n] = self.radius_ring[0]
-        new[k : k + w] = term.T
+        new[k : k + w] = term_rows
         self._radii[k : k + w] = term_radius
         k = self._live = k + w
         np.abs(new[:k], out=rows[:k])
         radius = np.dot(self._radii[:k], rows[:k])
-        if np.count_nonzero(np.isfinite(radius)) != n:
+        if not all(map(math.isfinite, radius.tolist())):
             mode = "exact" if m is None else m
             raise ArithmeticError(
                 f"radius overflow at t={self.t}, m={mode}: the error bound is "
@@ -287,36 +324,95 @@ class _RadiusRecursion:
 
 
 class _Identifier:
-    """The RLS identifier of one data stream, which several estimators may
-    follow in lockstep.
+    """The per-sample stage of one data stream: everything of a step that
+    does not depend on the mode, which several estimators may follow in
+    lockstep.
 
-    The first estimator to ask for sample t advances it with `rls_step`;
-    the others get the same state back once they show the same x and y.
+    Built on the RLS settings and the prior box of its estimators.  The
+    first estimator to ask for sample t advances it: it checks the noise
+    bounds and the drift box, calls `rls_step`, and computes the center
+    c(t), the transposed term block B(t)' with its radii, and A(t)'.  The
+    others get the same results once they show the same x, y and noise
+    bounds, and the same drift box object.
     """
 
-    def __init__(self, config: RlsConfig):
+    def __init__(self, config: RlsConfig, prior: IntervalVector):
         self.config = config
+        self.prior = prior
         self.state = rls_init(config)
-        self._sample = None
+        self.center = prior.center
+        self.point = self.At = self.term_rows = self.term_radius = None
+        self.term_width = None
+        self._sample = self._noise = self._drift = None
 
-    def advance(self, t: int, x, y) -> RlsState:
-        """The state after sample t, for an estimator that has taken t - 1."""
-        state = self.state
-        if state.t == t - 1:
-            state = self.state = rls_step(state, x, y)
-            self._sample = (np.asarray(x, dtype=float).tolist(), float(y))
-            return state
-        if state.t != t:
+    def advance(self, t: int, x, y, v_low, v_high, drift) -> None:
+        """Bring the stage to sample t, for an estimator that has taken t - 1."""
+        if self.state.t == t - 1:
+            self._take(x, y, v_low, v_high, drift)
+            return
+        if self.state.t != t:
             raise ValueError(
-                f"step {t}: the shared identifier is at step {state.t}; "
+                f"step {t}: the shared identifier is at step {self.state.t}; "
                 "estimators sharing it must step in lockstep"
             )
         if (np.asarray(x, dtype=float).tolist(), float(y)) != self._sample:
+            differ = "x and y differ"
+        elif (float(v_low), float(v_high)) != self._noise:
+            differ = "noise bounds differ"
+        elif drift is not self._drift:
+            differ = "drift box differs"
+        else:
+            return
+        raise ValueError(
+            f"step {t}: {differ} from the sample the shared identifier took "
+            "at this step"
+        )
+
+    def _take(self, x, y, v_low, v_high, drift) -> None:
+        v_low = float(v_low)
+        v_high = float(v_high)
+        if not (math.isfinite(v_low) and math.isfinite(v_high)):
+            raise ValueError(f"noise bounds must be finite, got [{v_low}, {v_high}]")
+        if v_low > v_high:
+            raise ValueError(f"noise bound inversion: [{v_low}, {v_high}]")
+        n = self.config.n
+        width = 1
+        if drift is not None:
+            if drift.dim != n:
+                raise ValueError(f"drift has {drift.dim} components, expected {n}")
+            width = n + 1
+        if self.term_width not in (None, width):
+            given = "given" if drift is not None else "missing"
             raise ValueError(
-                f"step {t}: x and y differ from the sample the shared "
-                "identifier took at this step"
+                f"step {self.state.t + 1}: drift box {given}, unlike earlier steps"
             )
-        return state
+        state = rls_step(self.state, x, y)
+        A = state.last_A
+        q = state.last_q
+        c_v = 0.5 * (v_low + v_high)
+        r_v = 0.5 * (v_high - v_low)
+        center = A @ self.center + q * (float(y) - c_v)
+        At = A.T.copy()
+        if drift is None:
+            term_rows = q[None, :]
+            term_radius = r_v
+        else:
+            center = center + A @ drift.center
+            term_rows = np.empty((width, n))
+            term_rows[0] = q
+            np.negative(At, out=term_rows[1:])
+            term_radius = np.empty(width)
+            term_radius[0] = r_v
+            term_radius[1:] = drift.radius
+        point = state.theta.copy()
+        for arr in (center, point, At, term_rows):
+            arr.setflags(write=False)
+        self.state = state
+        self.center, self.point, self.At = center, point, At
+        self.term_rows, self.term_radius, self.term_width = term_rows, term_radius, width
+        self._sample = (np.asarray(x, dtype=float).tolist(), float(y))
+        self._noise = (v_low, v_high)
+        self._drift = drift
 
 
 class LtiIntervalEstimator:
@@ -325,17 +421,23 @@ class LtiIntervalEstimator:
     Every step either carries a drift box or none does: the first step
     fixes which, because the stored terms of the two cases differ in width.
     `identifier` lets estimators of other modes over the same samples share
-    one RLS identifier (it must be built on the same RlsConfig object and
-    not have stepped yet); by default each estimator has its own.
+    one per-sample stage (it must be built on the same RlsConfig and prior
+    box objects and not have stepped yet); by default each estimator has
+    its own.
     """
 
     def __init__(self, config: EstimatorConfig, *, identifier: _Identifier | None = None):
         if identifier is None:
-            identifier = _Identifier(config.rls)
+            identifier = _Identifier(config.rls, config.theta_prior)
         elif identifier.config is not config.rls:
             raise ValueError(
                 "a shared identifier must be built on the estimator's own "
                 "RlsConfig object"
+            )
+        elif identifier.prior is not config.theta_prior:
+            raise ValueError(
+                "a shared identifier must be built on the estimator's own "
+                "prior box object"
             )
         elif identifier.state.t != 0:
             raise ValueError(
@@ -345,14 +447,13 @@ class LtiIntervalEstimator:
         self.config = config
         self._identifier = identifier
         self._rls_state = identifier.state
-        self._center = config.theta_prior.center
         self._engine = _RadiusRecursion(
             config.rls.n,
             config.theta_prior.radius,
             config.m,
             config.max_exact_horizon,
         )
-        self._mono = (config.theta_prior.lower.copy(), config.theta_prior.upper.copy())
+        self._mono = (config.theta_prior.lower, config.theta_prior.upper)
         self._inconsistent = False
 
     @property
@@ -374,55 +475,36 @@ class LtiIntervalEstimator:
 
         drift, when given, bounds the increment theta(t) - theta(t-1).
         """
-        v_low = float(v_low)
-        v_high = float(v_high)
-        if not (math.isfinite(v_low) and math.isfinite(v_high)):
-            raise ValueError(f"noise bounds must be finite, got [{v_low}, {v_high}]")
-        if v_low > v_high:
-            raise ValueError(f"noise bound inversion: [{v_low}, {v_high}]")
-        width = 1
-        if drift is not None:
-            n = self.config.rls.n
-            if drift.dim != n:
-                raise ValueError(f"drift has {drift.dim} components, expected {n}")
-            width = n + 1
-        if self._engine.term_width not in (None, width):
-            given = "given" if drift is not None else "missing"
-            raise ValueError(f"step {self.t + 1}: drift box {given}, unlike earlier steps")
-        if self.config.m is None and self.t >= self.config.max_exact_horizon:
+        config = self.config
+        t = self._rls_state.t
+        if config.m is None and t >= config.max_exact_horizon:
             raise RuntimeError(
-                f"exact-mode horizon cap {self.config.max_exact_horizon} exceeded; "
+                f"exact-mode horizon cap {config.max_exact_horizon} exceeded; "
                 "use a truncation window for long runs"
             )
-        c_v = 0.5 * (v_low + v_high)
-        r_v = 0.5 * (v_high - v_low)
-        state = self._identifier.advance(self.t + 1, x, y)
-        self._rls_state = state
-        A = state.last_A
-        q = state.last_q
-        self._center = A @ self._center + q * (float(y) - c_v)
-        if drift is None:
-            term = q[:, None]
-            term_radius = r_v
-        else:
-            self._center = self._center + A @ drift.center
-            term = np.concatenate([q[:, None], -A], axis=1)
-            term_radius = np.concatenate([[r_v], drift.radius])
-        radius = self._engine.step(A, term, term_radius)
-        raw = IntervalVector(self._center - radius, self._center + radius)
-        refined = None
-        if self.config.monotonic:
+        stage = self._identifier
+        stage.advance(t + 1, x, y, v_low, v_high, drift)
+        self._rls_state = stage.state
+        radius = self._engine.step(stage.At, stage.term_rows, stage.term_radius)
+        lower = stage.center - radius
+        upper = stage.center + radius
+        _check_bounds(lower, upper)
+        lower.setflags(write=False)
+        upper.setflags(write=False)
+        refined_lower = refined_upper = None
+        if config.monotonic:
             if not self._inconsistent:
-                bounds = _refine(self._mono, raw, drift)
+                bounds = _refine(self._mono, lower, upper, drift)
                 if bounds is None:
                     self._inconsistent = True
-                else:
+                elif bounds is not self._mono:
+                    lo, hi = bounds
+                    _check_bounds(lo, hi)
+                    lo.setflags(write=False)
+                    hi.setflags(write=False)
                     self._mono = bounds
-            refined = IntervalVector(*self._mono)
+            refined_lower, refined_upper = self._mono
         return IntervalEstimate(
-            t=state.t,
-            point=state.theta.copy(),
-            raw=raw,
-            refined=refined,
-            inconsistent=self._inconsistent,
+            t + 1, stage.point, lower, upper, refined_lower, refined_upper,
+            self._inconsistent,
         )

@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 
+# Gram entries per batched eigvalsh call in pe_levels (512 KiB of floats).
+_GRAM_CHUNK_ENTRIES = 1 << 16
+
+
 def _regressors(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -72,13 +76,25 @@ def pe_levels(X, T: int) -> tuple[float, float]:
         raise ValueError(f"T must be >= 1, got {T}")
     if N < T:
         raise ValueError(f"need at least T={T} regressors, got {N}")
+    n = X.shape[1]
+    starts = N - T + 1
+    # Each window's Gram is W'W, computed as on its own so its bits do not
+    # change; eigvalsh then takes a fixed-size chunk of them per call, so
+    # memory stays flat however long X is.
+    chunk = max(1, _GRAM_CHUNK_ENTRIES // max(1, n * n))
+    grams = np.empty((min(chunk, starts), n, n))
     alpha = math.inf
     beta = 0.0
-    for s in range(N - T + 1):
-        W = X[s : s + T]
-        eigs = np.linalg.eigvalsh(W.T @ W)
-        alpha = min(alpha, eigs[0])
-        beta = max(beta, eigs[-1])
+    for first in range(0, starts, chunk):
+        count = min(chunk, starts - first)
+        for j in range(count):
+            W = X[first + j : first + j + T]
+            np.matmul(W.T, W, out=grams[j])
+        eigs = np.linalg.eigvalsh(grams[:count])
+        # builtin min and max from the running value: the same comparisons,
+        # in the same order, as one window at a time (a nan is skipped)
+        alpha = min(alpha, *eigs[:, 0].tolist())
+        beta = max(beta, *eigs[:, -1].tolist())
     return float(alpha), float(beta)
 
 

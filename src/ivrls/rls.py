@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,6 +113,14 @@ def rls_init(config: RlsConfig) -> RlsState:
     )
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _gain_update(P: np.ndarray, x: np.ndarray, lam: float, t: int):
     """Gain q(t) and covariance P(t) from P(t-1) and a finite regressor,
     failing fast at step t when P loses definiteness or overflows."""
@@ -123,7 +132,7 @@ def _gain_update(P: np.ndarray, x: np.ndarray, lam: float, t: int):
             "positive definiteness"
         )
     q = Px / denom
-    P = (P - np.outer(q, Px)) / lam
+    P = (P - q[:, None] * Px) / lam
     P = 0.5 * (P + P.T)
     if not math.isfinite(P.sum()):
         raise ArithmeticError(f"covariance overflow at t={t}: P is no longer finite")
@@ -144,7 +153,9 @@ def rls_step(state: RlsState, x, y: float) -> RlsState:
 
     q, P = _gain_update(state.P, x, state.config.lam, state.t + 1)
     theta = state.theta + q * (y - x @ state.theta)
-    A = np.eye(n) - np.outer(q, x)
+    # I - q x', not -(q x') with 1 added on the diagonal: negating would
+    # turn the zeros an FIR regressor leaves in q x' into -0.0
+    A = _identity(n) - q[:, None] * x
     return RlsState(
         config=state.config,
         t=state.t + 1,

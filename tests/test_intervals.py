@@ -120,7 +120,7 @@ def test_tightest_image_contains_sampled_points():
 
 
 def intersect(a, b, drift=None):
-    return _refine((a.lower, a.upper), b, drift)
+    return _refine((a.lower, a.upper), b.lower, b.upper, drift)
 
 
 def test_intersect_overlap():
@@ -223,3 +223,25 @@ def test_box_contract(lower, upper, error):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 3.0
+
+
+def test_center_and_radius_stay_finite_near_dbl_max():
+    box = IntervalVector([-1.4e308, -1.0, 1.7e308], [1.4e308, 3.0, 1.75e308])
+    with np.errstate(over="raise"):
+        assert box.radius.tolist() == [1.4e308, 2.0, 0.5 * 1.75e308 - 0.5 * 1.7e308]
+        assert box.center.tolist() == [0.0, 1.0, 0.5 * 1.75e308 + 0.5 * 1.7e308]
+    # width is the plain difference: it overflows where the true width
+    # exceeds DBL_MAX
+    with np.errstate(over="ignore"):
+        assert box.width.tolist() == [np.inf, 4.0, 1.75e308 - 1.7e308]
+
+
+def test_center_and_radius_bit_equal_to_the_halved_sum_and_difference():
+    # halving is exact in the normal range, so the overflow-free form gives
+    # the bits of (upper +- lower) / 2
+    rng = np.random.default_rng(29)
+    lower = rng.normal(scale=10.0, size=1000) * 10.0 ** rng.integers(-30, 30, size=1000)
+    upper = lower + rng.random(1000) * 10.0 ** rng.integers(-30, 30, size=1000)
+    box = IntervalVector(lower, upper)
+    assert box.center.tobytes() == (0.5 * (upper + lower)).tobytes()
+    assert box.radius.tobytes() == (0.5 * (upper - lower)).tobytes()

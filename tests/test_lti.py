@@ -66,7 +66,7 @@ def test_one_step_radius_formula():
     state = est.rls_state
     expected = np.abs(state.last_A) @ np.full(2, 2.0) + np.abs(state.last_q) * 0.2
     np.testing.assert_allclose(out.raw.radius, expected, rtol=1e-14)
-    np.testing.assert_allclose(out.raw.center, est._center)
+    np.testing.assert_allclose(out.raw.center, est._identifier.center)
     assert out.t == 1 and not out.inconsistent and out.refined is None
 
 
@@ -152,13 +152,13 @@ def test_vertex_oracle_refuses_large_enumeration():
 
 
 def test_monotonic_update_examples():
-    lo, hi = _refine((np.array([0.0]), np.array([2.0])), IntervalVector([1.0], [3.0]), None)
+    lo, hi = _refine((np.array([0.0]), np.array([2.0])), np.array([1.0]), np.array([3.0]), None)
     assert (lo[0], hi[0]) == (1.0, 2.0)
     assert _refine(
-        (np.array([0.0]), np.array([1.0])), IntervalVector([2.0], [3.0]), None
+        (np.array([0.0]), np.array([1.0])), np.array([2.0]), np.array([3.0]), None
     ) is None
     # refinement never widens
-    lo, hi = _refine((np.array([0.5]), np.array([0.8])), IntervalVector([0.0], [2.0]), None)
+    lo, hi = _refine((np.array([0.5]), np.array([0.8])), np.array([0.0]), np.array([2.0]), None)
     assert (lo[0], hi[0]) == (0.5, 0.8)
 
 
@@ -286,12 +286,12 @@ def test_exact_horizon_refusal_changes_no_state():
     rng = np.random.default_rng(0)
     for _ in range(3):
         est.step(rng.normal(size=2), 0.0, -0.1, 0.1)
-    state, center = est.rls_state, est._center.copy()
+    state, center = est.rls_state, est._identifier.center
     for _ in range(2):
         with pytest.raises(RuntimeError, match="horizon cap 3"):
             est.step(rng.normal(size=2), 1.0, -0.1, 0.1)
         assert est.t == 3 and est._engine.t == 3 and est.rls_state is state
-        np.testing.assert_array_equal(est._center, center)
+        assert est._identifier.center is center
 
 
 def test_asymmetric_noise_bounds_shift_center():
@@ -318,7 +318,7 @@ def shared_estimators(rls, modes, monotonic=True, prior=4.0):
         theta_prior=from_center_radius(np.zeros(n), np.full(n, prior)),
         monotonic=monotonic,
     )
-    identifier = _Identifier(rls)
+    identifier = _Identifier(rls, base.theta_prior)
     return [
         LtiIntervalEstimator(replace(base, m=m), identifier=identifier) for m in modes
     ]
@@ -410,9 +410,9 @@ def test_sharing_needs_the_same_rls_config_object():
     # equal settings are not enough: the identifier must hold this very object
     twin = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
     with pytest.raises(ValueError, match="RlsConfig object"):
-        LtiIntervalEstimator(config, identifier=_Identifier(twin))
+        LtiIntervalEstimator(config, identifier=_Identifier(twin, config.theta_prior))
     with pytest.raises(TypeError):
-        LtiIntervalEstimator(config, _Identifier(config.rls))
+        LtiIntervalEstimator(config, _Identifier(config.rls, config.theta_prior))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -431,3 +431,130 @@ def test_radius_overflow_fails_fast_naming_step_and_window(seed):
                 last = est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
     t = int(err.value.args[0].split("t=")[1].split(",")[0])
     assert t == last.t + 1
+    # the last accepted box is valid however wide: its center and radius
+    # views stay finite (seed 1: the box at t = 1938 reaches +-1.4e308)
+    with np.errstate(over="raise"):
+        radius, center = last.raw.radius, last.raw.center
+    assert np.isfinite(radius).all() and np.isfinite(center).all()
+    if seed == 1:
+        assert last.t == 1938 and np.abs(last.upper).max() > 1e308
+
+
+def test_estimate_arrays_are_read_only_and_the_boxes_built_on_read():
+    ds = generate_lti(SimConfig(horizon=40, seed=30), seed=30)
+    for monotonic in (True, False):
+        _, outs = run_on(ds, make_config(m=5, monotonic=monotonic))
+        for out in outs:
+            arrays = [out.point, out.lower, out.upper]
+            if monotonic:
+                arrays += [out.refined_lower, out.refined_upper]
+            else:
+                assert out.refined_lower is None and out.refined_upper is None
+                assert out.refined is None
+            for arr in arrays:
+                assert not arr.flags.writeable
+            raw = out.raw
+            assert raw is out.raw
+            assert raw.lower.tobytes() == out.lower.tobytes()
+            assert raw.upper.tobytes() == out.upper.tobytes()
+            if monotonic:
+                assert out.refined is out.refined
+                assert out.refined.lower.tobytes() == out.refined_lower.tobytes()
+                assert out.refined.upper.tobytes() == out.refined_upper.tobytes()
+
+
+def test_reading_a_box_calls_the_module_level_interval_vector(monkeypatch):
+    made = []
+
+    def counted(lower, upper):
+        made.append(1)
+        return IntervalVector(lower, upper)
+
+    est = LtiIntervalEstimator(make_config(n=2, monotonic=True))
+    monkeypatch.setattr(lti, "IntervalVector", counted)
+    out = est.step([1.0, 0.5], 0.2, -0.1, 0.1)
+    assert made == []
+    assert out.raw is out.raw and out.refined is out.refined
+    assert made == [1, 1]
+
+
+def test_refined_arrays_are_shared_while_unchanged():
+    ds = generate_lti(SimConfig(horizon=200, seed=31), seed=31)
+    _, outs = run_on(ds, make_config(m=20, monotonic=True))
+    kept = changed = 0
+    for prev, out in zip(outs, outs[1:]):
+        same = np.array_equal(prev.refined_lower, out.refined_lower) and np.array_equal(
+            prev.refined_upper, out.refined_upper)
+        if same:
+            assert out.refined_lower is prev.refined_lower
+            assert out.refined_upper is prev.refined_upper
+            kept += 1
+        else:
+            changed += 1
+    assert kept > 100 and changed > 10
+
+
+def test_refine_returns_the_carried_pair_when_nothing_is_cut():
+    bounds = (np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
+    assert _refine(bounds, np.array([-2.0, -1.0]), np.array([2.0, 3.0]), None) is bounds
+    # a cut in one component gives new arrays
+    lo, hi = _refine(bounds, np.array([-2.0, 0.5]), np.array([2.0, 3.0]), None)
+    assert lo.tolist() == [-1.0, 0.5] and hi.tolist() == [1.0, 2.0]
+    assert lo is not bounds[0]
+    # with a drift box, the translated pair itself when nothing is cut
+    drift = IntervalVector([-0.5, 0.0], [0.5, 0.25])
+    lo, hi = _refine(bounds, np.array([-2.0, -1.0]), np.array([2.0, 3.0]), drift)
+    assert lo.tolist() == [-1.5, 0.0] and hi.tolist() == [1.5, 2.25]
+    # a raw bound equal to the carried one is taken as np.maximum and
+    # np.minimum give it: the raw bound, whose zero may have another sign
+    lo, hi = _refine((np.array([-0.0]), np.array([1.0])), np.array([0.0]), np.array([2.0]), None)
+    assert not np.signbit(lo[0])
+
+
+def test_step_checks_the_raw_box_contract():
+    # a zero-width drift box of 1e308 moves the center past DBL_MAX at the
+    # second step, while the radius stays finite
+    est = LtiIntervalEstimator(make_config(n=1))
+    drift = IntervalVector([1e308], [1e308])
+    est.step([0.0], 0.0, -0.1, 0.1, drift)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"non-finite bound\) at components \[0\]"):
+            est.step([0.0], 0.0, -0.1, 0.1, drift)
+
+
+@pytest.mark.parametrize(
+    "v_low, v_high, drift, error",
+    [
+        (-0.2, 0.1, "same", "noise bounds differ"),
+        (-0.1, 0.2, "same", "noise bounds differ"),
+        (-0.1, 0.1, "equal", "drift box differs"),
+        (-0.1, 0.1, None, "drift box differs"),
+    ],
+)
+def test_follower_with_other_noise_bounds_or_drift_is_refused(v_low, v_high, drift, error):
+    rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
+    lead, follow = shared_estimators(rls, (2, None))
+    box = IntervalVector([-0.01, -0.02], [0.01, 0.02])
+    for _ in range(2):
+        lead.step([0.5, -1.0], 0.1, -0.1, 0.1, box)
+        follow.step([0.5, -1.0], 0.1, -0.1, 0.1, box)
+    lead.step([1.0, 2.0], 0.5, -0.1, 0.1, box)
+    # equal bounds in another box object are refused too: the follower must
+    # hand over the very box the stage took
+    given = {"same": box, "equal": IntervalVector(box.lower, box.upper)}.get(drift)
+    with pytest.raises(ValueError, match=f"step 3: {error}"):
+        follow.step([1.0, 2.0], 0.5, v_low, v_high, given)
+    assert follow.t == 2
+    follow.step([1.0, 2.0], 0.5, -0.1, 0.1, box)
+    assert follow.t == 3
+
+
+def test_standalone_estimator_is_a_stage_of_one():
+    a = LtiIntervalEstimator(make_config(n=2))
+    b = LtiIntervalEstimator(make_config(n=2))
+    assert a._identifier is not b._identifier
+    # sharing needs the very prior box object too: the stage holds the center
+    config = make_config(n=2)
+    twin = replace(config, theta_prior=from_center_radius(np.zeros(2), np.full(2, 4.0)))
+    with pytest.raises(ValueError, match="prior box object"):
+        LtiIntervalEstimator(twin, identifier=_Identifier(config.rls, config.theta_prior))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ivrls import pe
 from ivrls.pe import (
     analyze,
     asymptotic_radius_bound,
@@ -37,6 +38,39 @@ def test_pe_levels_rank_deficient_window():
 def test_pe_levels_zero_sequence():
     alpha, beta = pe_levels(np.zeros((5, 2)), T=2)
     assert alpha == 0.0 and beta == 0.0
+
+
+def window_loop_levels(X, T):
+    """pe_levels as a running min and max over one eigvalsh per window."""
+    alpha, beta = math.inf, 0.0
+    for s in range(X.shape[0] - T + 1):
+        W = X[s : s + T]
+        eigs = np.linalg.eigvalsh(W.T @ W)
+        alpha = min(alpha, eigs[0])
+        beta = max(beta, eigs[-1])
+    return float(alpha), float(beta)
+
+
+@pytest.mark.parametrize("T", [1, 2, 8, 45, 300])
+@pytest.mark.parametrize("chunk_windows", [None, 1, 7])
+def test_pe_levels_bit_equal_to_the_window_loop(T, chunk_windows, monkeypatch):
+    # None keeps the default chunk; 1 and 7 windows per eigvalsh call put
+    # chunk boundaries everywhere, and 300 is T = N
+    if chunk_windows is not None:
+        monkeypatch.setattr(pe, "_GRAM_CHUNK_ENTRIES", chunk_windows * 16)
+    X = generate_lti(SimConfig(horizon=300, seed=27), seed=27).X
+    X[-1] *= 10.0  # the largest level sits in the last window
+    assert np.array(pe_levels(X, T)).tobytes() == np.array(window_loop_levels(X, T)).tobytes()
+
+
+def test_pe_levels_skips_a_nan_window_as_the_window_loop_does(monkeypatch):
+    # a nan window has a nan eigenvalue, which a running min and max skip;
+    # the windows sharing its chunk still count, here both extremes
+    monkeypatch.setattr(pe, "_GRAM_CHUNK_ENTRIES", 3)
+    for rows in ([1.0, 2.0, 3.0, 0.5, np.nan, 9.0, 4.0], [1.0, 2.0, 3.0, np.nan, 0.5, 9.0, 4.0]):
+        X = np.array(rows)[:, None]
+        assert np.array(pe_levels(X, 1)).tobytes() == np.array(window_loop_levels(X, 1)).tobytes()
+        assert pe_levels(X, 1) == (0.25, 81.0)
 
 
 def test_pe_levels_requires_enough_samples():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivrls.rls import RlsConfig, rls_init, rls_step
+from ivrls.rls import RlsConfig, _identity, rls_init, rls_step
 
 from helpers import batch_rls, collect_run, random_spd
 
@@ -167,3 +167,26 @@ def test_collect_run_helper_consistency():
     # A(t) = I - q(t) x(t)'
     for k in range(10):
         np.testing.assert_allclose(As[k], np.eye(2) - np.outer(qs[k], X[k]))
+
+
+def test_transition_and_covariance_bit_equal_to_outer_products():
+    # an FIR regressor fills up from zeros: entries of q x' that are zero
+    # must come out of I - q x' as +0.0, as with np.eye and np.outer
+    config = RlsConfig(theta0=np.zeros(4), P0=10.0 * np.eye(4), lam=0.95)
+    state = rls_init(config)
+    u = [1.0, -0.5, 2.0, 0.25, -1.5, 0.75]
+    for t in range(1, len(u) + 1):
+        x = np.array((u[:t][::-1] + [0.0] * 4)[:4])
+        prev = state
+        state = rls_step(prev, x, 0.3 * t)
+        q, Px = state.last_q, prev.P @ x
+        expected_A = np.eye(4) - np.outer(q, x)
+        expected_P = (prev.P - np.outer(q, Px)) / config.lam
+        expected_P = 0.5 * (expected_P + expected_P.T)
+        assert state.last_A.tobytes() == expected_A.tobytes()
+        assert state.P.tobytes() == expected_P.tobytes()
+        zeros = state.last_A == 0.0
+        assert zeros.any() == (t < 4) and not np.signbit(state.last_A[zeros]).any()
+    # the cached identity is shared, read-only and never handed out
+    assert _identity(4) is _identity(4) and not _identity(4).flags.writeable
+    assert state.last_A.flags.writeable
