@@ -6,12 +6,17 @@ its own, so containment is audited per run, against that run's true
 trajectory, before anything is averaged; the audit travels with the
 results.  Per-run seeds are seed + run_index, so a study is fully
 reproducible from (config, seed) regardless of worker count.
+
+A study takes each run's traces in run order as the run finishes and adds
+them into per-mode sums, so it holds one run's traces at a time and its
+memory does not grow with the number of runs.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -96,7 +101,6 @@ class ExperimentResult:
     config: SimConfig
     averages: list
     audits: list
-    traces: list | None = None
 
     @property
     def all_contained(self) -> bool:
@@ -193,41 +197,46 @@ def _replicate(config: SimConfig, run: int):
     return traces, audits
 
 
-def run_experiment(config: SimConfig, keep_traces: bool = False) -> ExperimentResult:
-    """Run the configured study across all seeds and average the outputs."""
+def run_experiment(config: SimConfig) -> ExperimentResult:
+    """Run the configured study across all seeds and average the outputs.
+
+    Each run's traces are added into per-mode sums as the run finishes, in
+    run order, and the sums are divided once at the end: the componentwise
+    mean, bit for bit.  The `inconsistent` flags are summed into per-step
+    counts.
+    """
     worker = partial(_replicate, config)
     runs = range(config.runs)
-    if config.workers > 1:
-        max_workers = min(config.workers, os.cpu_count() or 1, config.runs)
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(worker, runs, chunksize=4))
-    else:
-        results = [worker(run) for run in runs]
+    sums, audits = None, []
+    with ExitStack() as stack:
+        results = map(worker, runs)
+        if config.workers > 1:
+            max_workers = min(config.workers, os.cpu_count() or 1, config.runs)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=max_workers))
+            results = pool.map(worker, runs, chunksize=4)
+        for traces, run_audits in results:
+            audits.extend(run_audits)
+            if sums is None:
+                # the first run's arrays start the sums, as they start
+                # np.mean's reduction, so a -0.0 in every run stays -0.0;
+                # copied, so no trace run_dataset returned is written to
+                sums = [replace(tr, t=tr.t.copy(), **{k: a.copy() for k, a in _summed(tr).items()})
+                        for tr in traces]
+            else:
+                for total, tr in zip(sums, traces):
+                    for k, a in _summed(total).items():
+                        a += getattr(tr, k)
+    for total in sums:
+        for k, a in _summed(total).items():
+            if k != "inconsistent":
+                a /= config.runs
+    return ExperimentResult(config=config, averages=sums, audits=audits)
 
-    audits = [a for _, run_audits in results for a in run_audits]
-    return ExperimentResult(
-        config=config,
-        averages=[
-            _average([traces[mode_idx] for traces, _ in results])
-            for mode_idx in range(len(config.modes))
-        ],
-        audits=audits,
-        traces=[traces for traces, _ in results] if keep_traces else None,
-    )
 
-
-def _average(traces: list[ModeTrace]) -> ModeTrace:
-    """Componentwise mean of every bound array, in run order; the
-    `inconsistent` flags are summed into per-step counts."""
-    first = traces[0]
-    arrays = {}
-    for f in fields(ModeTrace):
-        if f.name in ("label", "t") or getattr(first, f.name) is None:
-            continue
-        stacked = [getattr(tr, f.name) for tr in traces]
-        reduce = np.sum if f.name == "inconsistent" else np.mean
-        arrays[f.name] = reduce(stacked, axis=0)
-    return replace(first, t=first.t.copy(), **arrays)
+def _summed(trace: ModeTrace) -> dict:
+    """The arrays a study sums across runs, by field name."""
+    return {f.name: getattr(trace, f.name) for f in fields(ModeTrace)
+            if f.name not in ("label", "t") and getattr(trace, f.name) is not None}
 
 
 @dataclass(eq=False)

@@ -103,6 +103,10 @@ __all__ = [
     "LtiIntervalEstimator",
 ]
 
+# Exact mode's state grows linearly with t; a run longer than this many
+# steps is refused rather than left to exhaust memory.
+MAX_EXACT_HORIZON = 100_000
+
 
 @dataclass(frozen=True, eq=False)
 class EstimatorConfig:
@@ -112,15 +116,12 @@ class EstimatorConfig:
     full convolution (exact mode).  Any m >= 1 is accepted, but very
     short windows (m = 1 in particular) carry no boundedness guarantee:
     see asymptotic_radius_bound for the certified threshold.
-    max_exact_horizon caps how long an exact-mode run may get before the
-    linearly growing state is refused.
     """
 
     rls: RlsConfig
     theta_prior: IntervalVector
     m: int | None = None
     monotonic: bool = False
-    max_exact_horizon: int = 100_000
 
     def __post_init__(self):
         if self.theta_prior.dim != self.rls.n:
@@ -133,10 +134,6 @@ class EstimatorConfig:
             if m < 1:
                 raise ValueError(f"m must be >= 1, got {self.m}")
             object.__setattr__(self, "m", m)
-        if int(self.max_exact_horizon) < 1:
-            raise ValueError(
-                f"max_exact_horizon must be >= 1, got {self.max_exact_horizon}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +208,7 @@ class _RadiusRecursion:
 
     Exact mode (window=None) keeps a = 0: Phi(t,0) propagates with the
     terms, every term is kept, and a step costs O(n w t).  Its buffers grow
-    geometrically up to max_exact_horizon blocks.  Windowed mode does the
+    geometrically up to MAX_EXACT_HORIZON blocks.  Windowed mode does the
     same until t = window.  After that each step drops the oldest block
     while propagating the rest, and the anchor rows become
     Phi(t, t-window) applied to the radius stored window steps back:
@@ -228,10 +225,9 @@ class _RadiusRecursion:
     together, and no inverse is ever taken.
     """
 
-    def __init__(self, n, prior_radius, window, max_exact_horizon):
+    def __init__(self, n, prior_radius, window):
         self.n = n
         self.window = window
-        self.max_exact_horizon = max_exact_horizon
         self.term_width = None
         self.t = 0
         self._live = n
@@ -259,7 +255,7 @@ class _RadiusRecursion:
         size = len(self._rows)
         if rows <= size:
             return
-        blocks = self.max_exact_horizon if self.window is None else self.window
+        blocks = MAX_EXACT_HORIZON if self.window is None else self.window
         size = min(max(2 * size, rows), self.n + blocks * self.term_width)
         live = self._live
         grown = np.empty((size, self.n))
@@ -447,12 +443,7 @@ class LtiIntervalEstimator:
         self.config = config
         self._identifier = identifier
         self._rls_state = identifier.state
-        self._engine = _RadiusRecursion(
-            config.rls.n,
-            config.theta_prior.radius,
-            config.m,
-            config.max_exact_horizon,
-        )
+        self._engine = _RadiusRecursion(config.rls.n, config.theta_prior.radius, config.m)
         self._mono = (config.theta_prior.lower, config.theta_prior.upper)
         self._inconsistent = False
 
@@ -477,9 +468,9 @@ class LtiIntervalEstimator:
         """
         config = self.config
         t = self._rls_state.t
-        if config.m is None and t >= config.max_exact_horizon:
+        if config.m is None and t >= MAX_EXACT_HORIZON:
             raise RuntimeError(
-                f"exact-mode horizon cap {config.max_exact_horizon} exceeded; "
+                f"exact-mode horizon cap {MAX_EXACT_HORIZON} exceeded; "
                 "use a truncation window for long runs"
             )
         stage = self._identifier

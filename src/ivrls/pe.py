@@ -59,6 +59,8 @@ def _regressors(X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be an (N, n) array, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("x must be finite")
     return X
 
 
@@ -312,8 +314,6 @@ def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeRep
     the noise level eta_v for the asymptotic radius bounds.
     """
     X = _regressors(X)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("x must be finite")
     N, n = X.shape
     T = 2 * n if T is None else int(T)
     alpha, beta = pe_levels(X, T)

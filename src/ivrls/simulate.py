@@ -130,25 +130,22 @@ def _simulate(
     delta_low: np.ndarray | None = None,
     delta_high: np.ndarray | None = None,
 ) -> Dataset:
-    N, n = config.horizon, config.n
+    N, n, n_a = config.horizon, config.n, config.n_a
     u, v = _draw(config, seed)
     X = np.zeros((N, n))
-    y = np.zeros(N)
-    y_hist = np.zeros(config.n_a)  # y(t-1), ..., y(t-n_a)
-    u_hist = np.zeros(config.n_b)
+    for j in range(1, config.n_b + 1):
+        X[j:, n_a + j - 1] = u[: max(N - j, 0)]
+    # y(t) for t <= 0 is the zero padding in front of y
+    padded = np.zeros(n_a + N)
+    y = padded[n_a:]
     for i in range(N):
-        X[i, : config.n_a] = -y_hist
-        X[i, config.n_a :] = u_hist
+        X[i, :n_a] = -padded[i : i + n_a][::-1]
         y[i] = X[i] @ theta_path[i] + v[i]
         if not np.isfinite(y[i]):
             raise ValueError(
                 f"simulated output diverged (non-finite y) at t={i + 1}; "
                 "the chosen parameters make the closed recursion unstable"
             )
-        if config.n_a:
-            y_hist = np.concatenate([[y[i]], y_hist[:-1]])
-        if config.n_b:
-            u_hist = np.concatenate([[u[i]], u_hist[:-1]])
     a = config.noise_half_width
     return Dataset(
         t=np.arange(1, N + 1),

@@ -8,7 +8,9 @@ are hulled by exhaustive vertex enumeration or by the closed-form
 """
 
 import numpy as np
+import pytest
 
+import ivrls.experiment
 from ivrls.experiment import ModeTrace, estimator_config, mode_label
 from ivrls.intervals import IntervalVector
 from ivrls.lti import LtiIntervalEstimator
@@ -190,3 +192,21 @@ def mode_major_run_dataset(dataset, config):
             trace.inconsistent[i] = out.inconsistent
         traces.append(trace)
     return traces
+
+
+def study_with_traces(config):
+    """`run_experiment(config)` and, in run order, every run's traces as
+    `run_dataset` returned them to the study.  Serial studies only: the
+    recording wrapper lives in this process."""
+    assert config.workers == 1
+    traces = []
+    original = ivrls.experiment.run_dataset
+
+    def recording(dataset, config):
+        traces.append(original(dataset, config))
+        return traces[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ivrls.experiment, "run_dataset", recording)
+        result = ivrls.experiment.run_experiment(config)
+    return result, traces

@@ -33,7 +33,7 @@ from ivrls.pe import (
 from ivrls.rls import RlsConfig
 from ivrls.simulate import REFERENCE_DRIFT_RADIUS, REFERENCE_THETA, SimConfig, generate_lti
 
-from helpers import batch_rls, collect_run, phi_product, vertex_oracle
+from helpers import batch_rls, collect_run, phi_product, study_with_traces, vertex_oracle
 
 SEED = 20260823
 THETA = np.array(REFERENCE_THETA)
@@ -70,9 +70,9 @@ def criterion(num, label):
 @pytest.fixture(scope="module")
 def reference_study():
     start = time.perf_counter()
-    result = run_experiment(STUDY, keep_traces=True)
+    result, traces = study_with_traces(STUDY)
     elapsed = time.perf_counter() - start
-    return result, elapsed
+    return result, traces, elapsed
 
 
 def study_rls():
@@ -96,7 +96,7 @@ def boxes_contain(lower, upper, theta, slack=CONTAINMENT_SLACK):
 
 @criterion(1, "true parameter inside every box, constant plant, 100 runs")
 def test_criterion_01_containment_lti(reference_study):
-    result, elapsed = reference_study
+    result, traces, elapsed = reference_study
     assert len(result.audits) == 100 * 3
     for audit in result.audits:
         assert audit.raw_contained, f"raw escape: run {audit.run} {audit.label}"
@@ -108,7 +108,7 @@ def test_criterion_01_containment_lti(reference_study):
     off = replace(STUDY, monotonic=False)
     for run in (0, 1):
         ds = generate_lti(STUDY, seed=SEED + run)
-        for trace, ref in zip(run_dataset(ds, off), result.traces[run]):
+        for trace, ref in zip(run_dataset(ds, off), traces[run]):
             np.testing.assert_array_equal(trace.lower, ref.lower)
             np.testing.assert_array_equal(trace.upper, ref.upper)
             assert trace.mono_lower is None
@@ -124,8 +124,8 @@ def test_criterion_02_truncation_is_outer():
     config = replace(
         STUDY, runs=20, modes=(None, 10, 20, 50), monotonic=False
     )
-    result = run_experiment(config, keep_traces=True)
-    for run_traces in result.traces:
+    _, traces = study_with_traces(config)
+    for run_traces in traces:
         by_label = {tr.label: tr for tr in run_traces}
         exact = by_label["exact"]
         for label in ("m10", "m20", "m50"):
@@ -275,8 +275,8 @@ def test_criterion_07_transition_decay():
 
 @criterion(8, "intersected widths never increase, bitwise, every run")
 def test_criterion_08_monotone_widths(reference_study):
-    result, _ = reference_study
-    for run_traces in result.traces:
+    _, traces, _ = reference_study
+    for run_traces in traces:
         for trace in run_traces:
             widths = trace.mono_upper - trace.mono_lower
             steps = np.diff(widths, axis=0)
@@ -295,7 +295,7 @@ def test_criterion_09_forgetting_sweep():
 
 @criterion(10, "longer windows give tighter averaged final widths")
 def test_criterion_10_window_ordering(reference_study):
-    result, _ = reference_study
+    result, _, _ = reference_study
 
     def final_width(label):
         avg = result.average(label)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from ivrls.experiment import (
 from ivrls.lti import LtiIntervalEstimator
 from ivrls.simulate import REFERENCE_DRIFT_RADIUS, SimConfig, generate_lti, generate_ltv
 
-from helpers import mode_major_run_dataset
+from helpers import mode_major_run_dataset, study_with_traces
 
 
 def small_config(**kwargs):
@@ -44,8 +45,8 @@ def test_run_experiment_audits_every_run_and_mode():
 
 def test_averages_are_componentwise_means():
     config = small_config(runs=2, modes=(None,))
-    result = run_experiment(config, keep_traces=True)
-    stacked = np.stack([result.traces[r][0].radius for r in range(2)])
+    result, traces = study_with_traces(config)
+    stacked = np.stack([traces[r][0].radius for r in range(2)])
     np.testing.assert_array_equal(result.average("exact").radius, stacked.mean(axis=0))
     counts = result.average("exact").inconsistent
     assert counts.shape == (config.horizon,)
@@ -56,14 +57,30 @@ def test_averaged_inconsistent_column_counts_flagged_runs(tmp_path):
     # a prior box that excludes the truth makes every run's refinement
     # come up empty within a few steps
     config = small_config(runs=3, modes=(None,), prior_radius=0.01)
-    result = run_experiment(config, keep_traces=True)
+    result, traces = study_with_traces(config)
     counts = result.average("exact").inconsistent
-    flags = np.stack([result.traces[r][0].inconsistent for r in range(3)])
+    flags = np.stack([traces[r][0].inconsistent for r in range(3)])
     np.testing.assert_array_equal(counts, flags.sum(axis=0))
     assert counts.max() == config.runs
     write_experiment(result, tmp_path)
     lines = (tmp_path / "avg_exact.csv").read_text().splitlines()[1:]
     assert [int(line.rsplit(",", 1)[1]) for line in lines] == counts.tolist()
+
+
+def test_study_memory_does_not_grow_with_runs():
+    # a study holds one run's traces at a time; a stored trace per run
+    # would add about 45 kB a run here
+    config = small_config(runs=10, horizon=100)
+    run_experiment(config)  # warm-up: first-call allocations are not the study's
+    peaks = []
+    for runs in (10, 40):
+        tracemalloc.start()
+        try:
+            run_experiment(replace(config, runs=runs))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], f"peak {peaks[0]} B at 10 runs, {peaks[1]} B at 40"
 
 
 def test_parallel_matches_serial_bitwise():

@@ -18,14 +18,12 @@ from ivrls.simulate import (
 from helpers import phi_product, random_spd, vertex_oracle
 
 
-def make_config(n=4, lam=0.99, p0=1000.0, prior=4.0, m=None, monotonic=False,
-                **kwargs):
+def make_config(n=4, lam=0.99, p0=1000.0, prior=4.0, m=None, monotonic=False):
     return EstimatorConfig(
         rls=RlsConfig(theta0=np.zeros(n), P0=p0 * np.eye(n), lam=lam),
         theta_prior=from_center_radius(np.zeros(n), np.full(n, prior)),
         m=m,
         monotonic=monotonic,
-        **kwargs,
     )
 
 
@@ -271,9 +269,9 @@ def test_windowed_radius_dominates_exact_on_a_long_stream():
     assert np.all(r_windowed >= r_exact * (1 - 1e-12))
 
 
-def test_exact_horizon_guard():
-    config = make_config(n=2, max_exact_horizon=5)
-    est = LtiIntervalEstimator(config)
+def test_exact_horizon_guard(monkeypatch):
+    monkeypatch.setattr(lti, "MAX_EXACT_HORIZON", 5)
+    est = LtiIntervalEstimator(make_config(n=2))
     rng = np.random.default_rng(0)
     for _ in range(5):
         est.step(rng.normal(size=2), 0.0, -0.1, 0.1)
@@ -281,8 +279,9 @@ def test_exact_horizon_guard():
         est.step(rng.normal(size=2), 0.0, -0.1, 0.1)
 
 
-def test_exact_horizon_refusal_changes_no_state():
-    est = LtiIntervalEstimator(make_config(n=2, max_exact_horizon=3))
+def test_exact_horizon_refusal_changes_no_state(monkeypatch):
+    monkeypatch.setattr(lti, "MAX_EXACT_HORIZON", 3)
+    est = LtiIntervalEstimator(make_config(n=2))
     rng = np.random.default_rng(0)
     for _ in range(3):
         est.step(rng.normal(size=2), 0.0, -0.1, 0.1)

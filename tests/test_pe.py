@@ -63,14 +63,15 @@ def test_pe_levels_bit_equal_to_the_window_loop(T, chunk_windows, monkeypatch):
     assert np.array(pe_levels(X, T)).tobytes() == np.array(window_loop_levels(X, T)).tobytes()
 
 
-def test_pe_levels_skips_a_nan_window_as_the_window_loop_does(monkeypatch):
-    # a nan window has a nan eigenvalue, which a running min and max skip;
-    # the windows sharing its chunk still count, here both extremes
-    monkeypatch.setattr(pe, "_GRAM_CHUNK_ENTRIES", 3)
-    for rows in ([1.0, 2.0, 3.0, 0.5, np.nan, 9.0, 4.0], [1.0, 2.0, 3.0, np.nan, 0.5, 9.0, 4.0]):
-        X = np.array(rows)[:, None]
-        assert np.array(pe_levels(X, 1)).tobytes() == np.array(window_loop_levels(X, 1)).tobytes()
-        assert pe_levels(X, 1) == (0.25, 81.0)
+def test_pe_levels_and_gamma_bounds_reject_non_finite_regressors():
+    # a nan window would have a nan eigenvalue, which a running min and max
+    # skip without a word, and eigvalsh fails on an inf one
+    for bad in (np.nan, np.inf):
+        X = np.array([1.0, 2.0, 3.0, 0.5, bad, 9.0, 4.0])[:, None]
+        with pytest.raises(ValueError, match="x must be finite"):
+            pe_levels(X, 1)
+        with pytest.raises(ValueError, match="x must be finite"):
+            gamma_bounds(X, 1, 0.9, np.eye(1), alpha=0.25, beta=81.0)
 
 
 def test_pe_levels_requires_enough_samples():
