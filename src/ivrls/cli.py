@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -31,13 +32,7 @@ from .experiment import (
     write_experiment,
 )
 from .pe import analyze
-from .simulate import (
-    REFERENCE_DRIFT_RADIUS,
-    REFERENCE_THETA,
-    SimConfig,
-    generate_lti,
-    generate_ltv,
-)
+from .simulate import REFERENCE_DRIFT_RADIUS, SimConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -86,44 +81,60 @@ _LTV_OVERRIDES = {
     "lam": 0.1,
     "modes": (5, None),
     "drift_radius": REFERENCE_DRIFT_RADIUS,
-    "drift_period": 30.0,
+    "drift_period": SimConfig.drift_period,
 }
 
+
+def _defaults(ltv: bool) -> dict:
+    """The settings a study of either plant starts from."""
+    return {**_SIM_DEFAULTS, **_LTV_OVERRIDES} if ltv else dict(_SIM_DEFAULTS)
+
+
+def _show(value) -> str:
+    """A default as the help text shows it: the flag's own syntax."""
+    if isinstance(value, tuple):
+        return ",".join("exact" if v is None else _show(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return format(value, "g") if isinstance(value, float) else str(value)
+
+
+# Flag, value type and help text of each setting; the help text ends in
+# the default the subcommand starts from.
+_FLAGS = {
+    "theta_true": ("--theta-true", _parse_floats, "true parameters"),
+    "n_a": ("--na", int, "output lags"),
+    "n_b": ("--nb", int, "input lags"),
+    "noise_half_width": ("--noise-half-width", float, "noise bound a, v in [-a, a]"),
+    "horizon": ("--horizon", int, "steps per run"),
+    "runs": ("--runs", int, "Monte Carlo runs"),
+    "lam": ("--lambda", float, "forgetting factor"),
+    "p0_scale": ("--p0-scale", float, "P(0) = p0_scale * I"),
+    "prior_radius": ("--prior-radius", float, "prior box half-width around 0"),
+    "modes": ("--modes", _parse_modes, "comma list of windows, 'exact' for full memory"),
+    "monotonic": ("--monotonic", _parse_bool, "refine boxes by running intersection"),
+    "workers": ("--workers", int, "parallel processes for the runs"),
+    "drift_radius": ("--drift-radius", _parse_floats, "per-component drift bound"),
+    "drift_period": ("--drift-period", float, "sinusoid period of the drift"),
+}
+
+
+def _add_settings(sub: argparse.ArgumentParser, keys, defaults: dict, suppress=False) -> None:
+    """Add the flags of `keys`.  With suppress=True an absent flag leaves no
+    attribute, so `_effective_config` can tell it from an explicit one."""
+    for key in keys:
+        flag, kind, text = _FLAGS[key]
+        sub.add_argument(flag, dest=key, type=kind,
+                         default=argparse.SUPPRESS if suppress else defaults[key],
+                         help=f"{text} (default {_show(defaults[key])})")
+
+
 def _add_sim_arguments(sub: argparse.ArgumentParser, ltv: bool) -> None:
-    S = argparse.SUPPRESS
     sub.add_argument("--seed", type=int, required=True, help="base seed; run k uses seed+k")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--config", help="flat key=value file; flags override it")
-    sub.add_argument("--theta-true", dest="theta_true", type=_parse_floats, default=S,
-                     help=f"true parameters (default {','.join(map(str, REFERENCE_THETA))})")
-    sub.add_argument("--na", dest="n_a", type=int, default=S, help="output lags (default 2)")
-    sub.add_argument("--nb", dest="n_b", type=int, default=S, help="input lags (default 2)")
-    sub.add_argument("--noise-half-width", dest="noise_half_width", type=float, default=S,
-                     help="noise bound a, v in [-a, a] (default 0.2)")
-    sub.add_argument("--horizon", type=int, default=S, help="steps per run (default 200)")
-    sub.add_argument("--runs", type=int, default=S, help="Monte Carlo runs (default 100)")
-    sub.add_argument("--lambda", dest="lam", type=float, default=S,
-                     help=f"forgetting factor (default {0.1 if ltv else 0.99})")
-    sub.add_argument("--p0-scale", dest="p0_scale", type=float, default=S,
-                     help="P(0) = p0_scale * I (default 1000)")
-    sub.add_argument("--prior-radius", dest="prior_radius", type=float, default=S,
-                     help="prior box half-width around 0 (default 4)")
-    sub.add_argument("--modes", type=_parse_modes, default=S,
-                     help="comma list of windows, 'exact' for full memory "
-                          f"(default {'5,exact' if ltv else '20,50,exact'})")
-    sub.add_argument("--monotonic", type=_parse_bool, default=S,
-                     help="refine boxes by running intersection (default true)")
-    sub.add_argument("--workers", type=int, default=S,
-                     help="parallel processes for the runs (default 1)")
-    sub.add_argument("--write-datasets", action="store_true",
-                     help="also write each run's dataset CSV")
-    if ltv:
-        sub.add_argument("--drift-radius", dest="drift_radius", type=_parse_floats,
-                         default=S,
-                         help="per-component drift bound "
-                              f"(default {','.join(map(str, REFERENCE_DRIFT_RADIUS))})")
-        sub.add_argument("--drift-period", dest="drift_period", type=float, default=S,
-                         help="sinusoid period of the drift (default 30)")
+    defaults = _defaults(ltv)
+    _add_settings(sub, defaults, defaults, suppress=True)
 
 
 def _effective_config(args, parser: argparse.ArgumentParser, ltv: bool) -> SimConfig:
@@ -132,9 +143,7 @@ def _effective_config(args, parser: argparse.ArgumentParser, ltv: bool) -> SimCo
     File values are converted by the `type` of the flag with the same
     destination, so the file and the command line accept the same text.
     """
-    defaults = dict(_SIM_DEFAULTS)
-    if ltv:
-        defaults.update(_LTV_OVERRIDES)
+    defaults = _defaults(ltv)
     effective = dict(defaults)
     if getattr(args, "config", None):
         types = {action.dest: action.type for action in parser._actions}
@@ -169,13 +178,10 @@ def _read_config_file(path) -> dict:
 
 def _cmd_simulate(args, parser, ltv: bool) -> int:
     config = _effective_config(args, parser, ltv)
-    result = run_experiment(config)
+    os.makedirs(args.out, exist_ok=True)
+    result = run_experiment(config, dataset_dir=args.out if args.write_datasets else None)
     paths = write_experiment(result, args.out)
-    if args.write_datasets:
-        for run in range(config.runs):
-            seed = config.seed + run
-            ds = generate_ltv(config, seed) if config.is_ltv else generate_lti(config, seed)
-            ds.to_csv(os.path.join(args.out, f"dataset_run{run:03d}.csv"))
+    written = len(paths) + (config.runs if args.write_datasets else 0)
     for avg in result.averages:
         width = (avg.mono_upper if config.monotonic else avg.upper)[-1] - (
             avg.mono_lower if config.monotonic else avg.lower
@@ -184,7 +190,7 @@ def _cmd_simulate(args, parser, ltv: bool) -> int:
         print(f"{avg.label}: final averaged width [{joined}]")
     ok = result.all_contained
     print(f"containment audit over {config.runs} runs: {'PASS' if ok else 'FAIL'}")
-    print(f"wrote {len(paths)} files to {args.out}")
+    print(f"wrote {written} files to {args.out}")
     return 0 if ok else 1
 
 
@@ -253,36 +259,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate-lti", help="Monte Carlo study, constant parameters")
-    _add_sim_arguments(sim, ltv=False)
-    sim.set_defaults(func=lambda a: _cmd_simulate(a, sim, ltv=False))
-
-    drifting = sub.add_parser("simulate-ltv", help="Monte Carlo study, drifting parameters")
-    _add_sim_arguments(drifting, ltv=True)
-    drifting.set_defaults(func=lambda a: _cmd_simulate(a, drifting, ltv=True))
+    for name, ltv, text in (
+        ("simulate-lti", False, "Monte Carlo study, constant parameters"),
+        ("simulate-ltv", True, "Monte Carlo study, drifting parameters"),
+    ):
+        study = sub.add_parser(name, help=text)
+        _add_sim_arguments(study, ltv)
+        study.add_argument("--write-datasets", action="store_true",
+                           help="also write each run's dataset CSV")
+        study.set_defaults(func=partial(_cmd_simulate, parser=study, ltv=ltv))
 
     est = sub.add_parser("estimate", help="run one estimator over a dataset CSV")
     est.add_argument("--in", dest="input", required=True, help="dataset CSV path")
     est.add_argument("--out", required=True, help="output directory")
-    est.add_argument("--lambda", dest="lam", type=float, default=0.99,
-                     help="forgetting factor (default 0.99)")
-    est.add_argument("--p0-scale", dest="p0_scale", type=float, default=1000.0,
-                     help="P(0) = p0_scale * I (default 1000)")
-    est.add_argument("--prior-radius", dest="prior_radius", type=float, default=4.0,
-                     help="prior box half-width around 0 (default 4)")
+    _add_settings(est, ("lam", "p0_scale", "prior_radius"), _SIM_DEFAULTS)
     est.add_argument("--m", type=_parse_mode, default=None,
                      help="truncation window, or 'exact' (default exact)")
-    est.add_argument("--monotonic", type=_parse_bool, default=True,
-                     help="refine boxes by running intersection (default true)")
+    _add_settings(est, ("monotonic",), _SIM_DEFAULTS)
     est.set_defaults(func=_cmd_estimate)
 
     pe = sub.add_parser("analyze-pe", help="excitation diagnostics for a dataset CSV")
     pe.add_argument("--in", dest="input", required=True, help="dataset CSV path")
     pe.add_argument("--out", required=True, help="output directory")
-    pe.add_argument("--lambda", dest="lam", type=float, default=0.99,
-                    help="forgetting factor (default 0.99)")
-    pe.add_argument("--p0-scale", dest="p0_scale", type=float, default=1000.0,
-                    help="P(0) = p0_scale * I (default 1000)")
+    _add_settings(pe, ("lam", "p0_scale"), _SIM_DEFAULTS)
     pe.add_argument("--window", type=int, default=None,
                     help="excitation window T (default 2n)")
     pe.set_defaults(func=_cmd_analyze_pe)

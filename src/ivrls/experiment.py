@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, _write_table, write_estimates_csv
 from .intervals import IntervalVector, from_center_radius
-from .lti import EstimatorConfig, LtiIntervalEstimator, _Identifier
+from .lti import EstimatorConfig, _on_one_stage
 from .rls import RlsConfig
 from .simulate import SimConfig, generate_lti, generate_ltv
 
@@ -118,10 +118,10 @@ class ExperimentResult:
 def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
     """Apply every configured estimator mode to one dataset, in row order.
 
-    The modes share one per-sample stage and are stepped sample-major, so
-    each sample goes through RLS and the center recursion once; the
-    estimates' bound arrays are copied into the traces without building
-    box objects.
+    The modes are built on one per-sample stage and stepped sample-major,
+    as that stage asks, so each sample goes through RLS and the center
+    recursion once; the estimates' bound arrays are copied into the traces
+    without building box objects.
     """
     n, N = dataset.n, dataset.N
     drifts = [None] * N
@@ -130,11 +130,7 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
     base = estimator_config(
         n, config.lam, config.p0_scale, config.prior_radius, None, config.monotonic
     )
-    identifier = _Identifier(base.rls, base.theta_prior)
-    estimators = [
-        LtiIntervalEstimator(replace(base, m=m), identifier=identifier)
-        for m in config.modes
-    ]
+    estimators = _on_one_stage(base, config.modes)
     shape = (N, n)
     mono = config.monotonic
     traces = [
@@ -189,23 +185,30 @@ def _audit_trace(trace: ModeTrace, truth: np.ndarray, run: int, seed: int) -> Ru
     )
 
 
-def _replicate(config: SimConfig, run: int):
+def _replicate(config: SimConfig, dataset_dir, run: int):
     seed = config.seed + run
     dataset = generate_ltv(config, seed) if config.is_ltv else generate_lti(config, seed)
+    if dataset_dir is not None:
+        dataset.to_csv(os.path.join(dataset_dir, f"dataset_run{run:03d}.csv"))
     traces = run_dataset(dataset, config)
     audits = [_audit_trace(tr, dataset.theta_true, run, seed) for tr in traces]
     return traces, audits
 
 
-def run_experiment(config: SimConfig) -> ExperimentResult:
+def run_experiment(config: SimConfig, *, dataset_dir=None) -> ExperimentResult:
     """Run the configured study across all seeds and average the outputs.
+
+    With `dataset_dir` (an existing directory), each run writes its dataset
+    there as dataset_run<run>.csv as soon as it is generated, in the worker
+    process of a pooled study.  If a run raises, the datasets already
+    written stay.
 
     Each run's traces are added into per-mode sums as the run finishes, in
     run order, and the sums are divided once at the end: the componentwise
     mean, bit for bit.  The `inconsistent` flags are summed into per-step
     counts.
     """
-    worker = partial(_replicate, config)
+    worker = partial(_replicate, config, dataset_dir)
     runs = range(config.runs)
     sums, audits = None, []
     with ExitStack() as stack:

@@ -55,16 +55,13 @@ longer finite raises ArithmeticError naming t and m.
 
 Every mode bounds the error of the same reference identifier; only the
 bound differs with m.  So everything without m in it belongs to one
-shared per-sample stage: the RLS step, the center c(t), the term block
-B(t) with its radii, and the contiguous A(t)' the radius engine
-multiplies by.  Estimators of several modes over the same data may
-follow one stage: the first to step for a sample advances it, and the
-others reuse its results after checking they were given the same sample
-(x, y, noise bounds and the same drift box object).  A standalone
-estimator is a stage of one.  A Monte Carlo study builds every mode of a
-run on one stage and steps them sample-major, so each sample goes
-through RLS once; only the radius recursion and the refinement are per
-estimator.
+per-sample stage: the RLS step, the center c(t), the term block B(t)
+with its radii, and the contiguous A(t)' the radius engine multiplies
+by.  A standalone estimator is a stage of one.  A Monte Carlo study
+builds every mode of a run on one stage and hands each of them the same
+samples, sample-major: the first estimator to step for a sample advances
+the stage, and the others read it, so each sample goes through RLS once;
+only the radius recursion and the refinement are per estimator.
 
 An estimate carries its bounds as read-only arrays, checked against the
 box contract when the step makes them; the IntervalVector views `raw`
@@ -89,7 +86,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -321,48 +318,21 @@ class _RadiusRecursion:
 
 class _Identifier:
     """The per-sample stage of one data stream: everything of a step that
-    does not depend on the mode, which several estimators may follow in
-    lockstep.
+    does not depend on the mode.
 
-    Built on the RLS settings and the prior box of its estimators.  The
-    first estimator to ask for sample t advances it: it checks the noise
-    bounds and the drift box, calls `rls_step`, and computes the center
-    c(t), the transposed term block B(t)' with its radii, and A(t)'.  The
-    others get the same results once they show the same x, y and noise
-    bounds, and the same drift box object.
+    Built on the RLS settings and the prior box of its estimators.  `_take`
+    advances it by one sample: it checks the noise bounds and the drift
+    box, calls `rls_step`, and computes the center c(t), the transposed
+    term block B(t)' with its radii, and A(t)'.  Estimators on one stage
+    (see `_on_one_stage`) read these results until the next sample.
     """
 
     def __init__(self, config: RlsConfig, prior: IntervalVector):
         self.config = config
-        self.prior = prior
         self.state = rls_init(config)
         self.center = prior.center
         self.point = self.At = self.term_rows = self.term_radius = None
         self.term_width = None
-        self._sample = self._noise = self._drift = None
-
-    def advance(self, t: int, x, y, v_low, v_high, drift) -> None:
-        """Bring the stage to sample t, for an estimator that has taken t - 1."""
-        if self.state.t == t - 1:
-            self._take(x, y, v_low, v_high, drift)
-            return
-        if self.state.t != t:
-            raise ValueError(
-                f"step {t}: the shared identifier is at step {self.state.t}; "
-                "estimators sharing it must step in lockstep"
-            )
-        if (np.asarray(x, dtype=float).tolist(), float(y)) != self._sample:
-            differ = "x and y differ"
-        elif (float(v_low), float(v_high)) != self._noise:
-            differ = "noise bounds differ"
-        elif drift is not self._drift:
-            differ = "drift box differs"
-        else:
-            return
-        raise ValueError(
-            f"step {t}: {differ} from the sample the shared identifier took "
-            "at this step"
-        )
 
     def _take(self, x, y, v_low, v_high, drift) -> None:
         v_low = float(v_low)
@@ -406,9 +376,6 @@ class _Identifier:
         self.state = state
         self.center, self.point, self.At = center, point, At
         self.term_rows, self.term_radius, self.term_width = term_rows, term_radius, width
-        self._sample = (np.asarray(x, dtype=float).tolist(), float(y))
-        self._noise = (v_low, v_high)
-        self._drift = drift
 
 
 class LtiIntervalEstimator:
@@ -416,33 +383,14 @@ class LtiIntervalEstimator:
 
     Every step either carries a drift box or none does: the first step
     fixes which, because the stored terms of the two cases differ in width.
-    `identifier` lets estimators of other modes over the same samples share
-    one per-sample stage (it must be built on the same RlsConfig and prior
-    box objects and not have stepped yet); by default each estimator has
-    its own.
+    Each estimator has its own per-sample stage unless `_on_one_stage`
+    built it on a stage shared with other modes.
     """
 
-    def __init__(self, config: EstimatorConfig, *, identifier: _Identifier | None = None):
-        if identifier is None:
-            identifier = _Identifier(config.rls, config.theta_prior)
-        elif identifier.config is not config.rls:
-            raise ValueError(
-                "a shared identifier must be built on the estimator's own "
-                "RlsConfig object"
-            )
-        elif identifier.prior is not config.theta_prior:
-            raise ValueError(
-                "a shared identifier must be built on the estimator's own "
-                "prior box object"
-            )
-        elif identifier.state.t != 0:
-            raise ValueError(
-                f"a shared identifier must be new, this one is at step "
-                f"{identifier.state.t}"
-            )
+    def __init__(self, config: EstimatorConfig):
         self.config = config
-        self._identifier = identifier
-        self._rls_state = identifier.state
+        self._identifier = _Identifier(config.rls, config.theta_prior)
+        self._rls_state = self._identifier.state
         self._engine = _RadiusRecursion(config.rls.n, config.theta_prior.radius, config.m)
         self._mono = (config.theta_prior.lower, config.theta_prior.upper)
         self._inconsistent = False
@@ -474,7 +422,10 @@ class LtiIntervalEstimator:
                 "use a truncation window for long runs"
             )
         stage = self._identifier
-        stage.advance(t + 1, x, y, v_low, v_high, drift)
+        # the first estimator on the stage to take this sample advances it;
+        # the others find it one step ahead and read it
+        if stage.state.t == t:
+            stage._take(x, y, v_low, v_high, drift)
         self._rls_state = stage.state
         radius = self._engine.step(stage.At, stage.term_rows, stage.term_radius)
         lower = stage.center - radius
@@ -499,3 +450,20 @@ class LtiIntervalEstimator:
             t + 1, stage.point, lower, upper, refined_lower, refined_upper,
             self._inconsistent,
         )
+
+
+def _on_one_stage(base: EstimatorConfig, modes) -> list[LtiIntervalEstimator]:
+    """One estimator per mode in `modes`, all on one per-sample stage.
+
+    Contract: give every estimator the same samples and step them
+    sample-major, every estimator on a sample before any takes the next.
+    Nothing checks this.  The stage takes the sample of whichever
+    estimator steps first, and the others read its results.  Under this
+    contract each estimator's boxes are bit-identical to those of an
+    estimator of its own.
+    """
+    estimators = [LtiIntervalEstimator(replace(base, m=m)) for m in modes]
+    stage = estimators[0]._identifier
+    for est in estimators[1:]:
+        est._identifier, est._rls_state = stage, stage.state
+    return estimators

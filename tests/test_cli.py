@@ -1,9 +1,10 @@
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ivrls import cli
+from ivrls import cli, simulate
 from ivrls.cli import main
 from ivrls.simulate import SimConfig, generate_lti
 
@@ -34,12 +35,16 @@ def test_simulate_is_byte_deterministic(tmp_path):
 
 
 def test_parallel_workers_do_not_change_output(tmp_path):
+    # pooled runs write their datasets from the worker processes
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate-lti", "--seed", "9", "--out", str(a), *SIM_ARGS]) == 0
-    assert main(
-        ["simulate-lti", "--seed", "9", "--out", str(b), *SIM_ARGS, "--workers", "2"]
-    ) == 0
-    for name in ("avg_exact.csv", "avg_m10.csv", "audit.csv"):
+    argv = ["simulate-lti", "--seed", "9", *SIM_ARGS, "--write-datasets"]
+    assert main([*argv, "--out", str(a)]) == 0
+    assert main([*argv, "--out", str(b), "--workers", "2"]) == 0
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b)) == [
+        "audit.csv", "avg_exact.csv", "avg_m10.csv", "dataset_run000.csv", "dataset_run001.csv"
+    ]
+    for name in names:
         assert read(a / name) == read(b / name)
 
 
@@ -90,7 +95,7 @@ class _Captured(Exception):
 
 
 def _study_config(monkeypatch, argv):
-    def capture(config):
+    def capture(config, **kwargs):
         raise _Captured(config)
 
     monkeypatch.setattr(cli, "run_experiment", capture)
@@ -198,7 +203,7 @@ def test_simulate_ltv_subcommand(tmp_path, capsys):
     assert (out / "avg_exact.csv").exists()
 
 
-def test_write_datasets_round_trips(tmp_path):
+def test_write_datasets_round_trips(tmp_path, capsys):
     out = tmp_path / "study"
     assert main(
         ["simulate-lti", "--seed", "6", "--out", str(out), "--runs", "2",
@@ -209,3 +214,40 @@ def test_write_datasets_round_trips(tmp_path):
     ds = Dataset.from_csv(out / "dataset_run001.csv")
     ref = generate_lti(SimConfig(horizon=20), seed=7)
     np.testing.assert_array_equal(ds.y, ref.y)
+    # the datasets count among the files written
+    assert f"wrote {len(os.listdir(out))} files to" in capsys.readouterr().out
+
+
+def test_write_datasets_generates_each_dataset_once(tmp_path, monkeypatch):
+    calls = []
+    original = simulate._simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_simulate", counted)
+    out = tmp_path / "study"
+    assert main(["simulate-lti", "--seed", "3", "--out", str(out), "--runs", "3",
+                 "--horizon", "20", "--modes", "exact", "--write-datasets"]) == 0
+    assert calls == [3, 4, 5]
+    assert sorted(os.listdir(out))[-3:] == [f"dataset_run00{k}.csv" for k in range(3)]
+
+
+def test_sweep_lambda_refuses_write_datasets(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-lambda", "--seed", "1", "--out", str(tmp_path / "sw"), "--runs", "2",
+              "--horizon", "20", "--lambdas", "0.9,0.99", "--write-datasets"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("estimate", ("lam", "p0_scale", "prior_radius", "monotonic")),
+    ("analyze-pe", ("lam", "p0_scale")),
+])
+def test_single_file_commands_default_to_the_study_settings(command, keys):
+    args = cli.build_parser().parse_args([command, "--in", "d.csv", "--out", "o"])
+    assert {key: getattr(args, key) for key in keys} == {
+        key: getattr(SimConfig(), key) for key in keys
+    }

@@ -1,11 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from ivrls import lti
 from ivrls.intervals import IntervalVector, from_center_radius
-from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, _Identifier, _refine
+from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, _on_one_stage, _refine
 from ivrls.rls import RlsConfig
 from ivrls.simulate import (
     REFERENCE_DRIFT_RADIUS,
@@ -310,21 +308,19 @@ def test_asymmetric_noise_bounds_shift_center():
 
 
 def shared_estimators(rls, modes, monotonic=True, prior=4.0):
-    """Estimators of the given modes, all following one identifier."""
+    """Estimators of the given modes, all on one per-sample stage."""
     n = rls.n
     base = EstimatorConfig(
         rls=rls,
         theta_prior=from_center_radius(np.zeros(n), np.full(n, prior)),
         monotonic=monotonic,
     )
-    identifier = _Identifier(rls, base.theta_prior)
-    return [
-        LtiIntervalEstimator(replace(base, m=m), identifier=identifier) for m in modes
-    ]
+    return _on_one_stage(base, modes)
 
 
-@pytest.mark.parametrize("drifting", [False, True])
-def test_shared_identifier_matches_independent_estimators(drifting):
+def check_shared_matches_independent(drifting, reverse):
+    """Step the modes on one stage, in the given order within each sample,
+    next to estimators of their own, and compare every output bit."""
     modes = (1, 7, None)
     lam = 0.1 if drifting else 0.99
     config = SimConfig(horizon=60, seed=24, lam=lam,
@@ -339,7 +335,9 @@ def test_shared_identifier_matches_independent_estimators(drifting):
         if drifting:
             drift = IntervalVector(ds.delta_low[i], ds.delta_high[i])
         sample = (ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
-        for a, b in zip(shared, alone):
+        # whichever mode steps first advances the stage
+        pairs = list(zip(shared, alone))
+        for a, b in reversed(pairs) if reverse else pairs:
             out, ref = a.step(*sample), b.step(*sample)
             assert out.t == ref.t == i + 1 and out.inconsistent == ref.inconsistent
             for x, y in ((out.point, ref.point),
@@ -349,6 +347,16 @@ def test_shared_identifier_matches_independent_estimators(drifting):
                 assert x.tobytes() == y.tobytes()
     # every estimator keeps its own view of the identifier's state
     assert all(a.rls_state is shared[0].rls_state for a in shared)
+
+
+@pytest.mark.parametrize("drifting", [False, True])
+def test_shared_identifier_matches_independent_estimators(drifting):
+    check_shared_matches_independent(drifting, reverse=False)
+
+
+@pytest.mark.parametrize("drifting", [False, True])
+def test_shared_modes_stepped_in_reverse_order_match_independent_estimators(drifting):
+    check_shared_matches_independent(drifting, reverse=True)
 
 
 def test_shared_identifier_steps_rls_once_per_sample(monkeypatch):
@@ -372,46 +380,6 @@ def test_shared_identifier_steps_rls_once_per_sample(monkeypatch):
     lead, follow = shared_estimators(rls, (1, None))
     lead.step([1.0, 0.0], 0.5, -0.1, 0.1)
     assert lead.t == 1 and follow.t == 0 and follow.rls_state.t == 0
-
-
-@pytest.mark.parametrize(
-    "x, y",
-    [([1.0, 2.0], 0.6), ([1.0, 2.5], 0.5), ([[1.0, 2.0]], 0.5), ([np.nan, 2.0], 0.5)],
-)
-def test_follower_given_another_sample_is_refused(x, y):
-    rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
-    lead, follow = shared_estimators(rls, (2, None))
-    for _ in range(2):
-        lead.step([0.5, -1.0], 0.1, -0.1, 0.1)
-        follow.step(np.array([0.5, -1.0]), 0.1, -0.1, 0.1)
-    lead.step([1.0, 2.0], 0.5, -0.1, 0.1)
-    state = follow.rls_state
-    with pytest.raises(ValueError, match="step 3: x and y differ"):
-        follow.step(x, y, -0.1, 0.1)
-    assert follow.t == 2 and follow.rls_state is state
-    follow.step([1.0, 2.0], 0.5, -0.1, 0.1)
-    assert follow.t == 3
-
-
-def test_shared_identifier_requires_lockstep():
-    rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
-    lead, follow = shared_estimators(rls, (2, None))
-    lead.step([1.0, 0.0], 0.5, -0.1, 0.1)
-    lead.step([0.0, 1.0], 0.5, -0.1, 0.1)
-    with pytest.raises(ValueError, match="step 1: the shared identifier is at step 2"):
-        follow.step([1.0, 0.0], 0.5, -0.1, 0.1)
-    with pytest.raises(ValueError, match="must be new, this one is at step 2"):
-        LtiIntervalEstimator(lead.config, identifier=lead._identifier)
-
-
-def test_sharing_needs_the_same_rls_config_object():
-    config = make_config(n=2, lam=0.9)
-    # equal settings are not enough: the identifier must hold this very object
-    twin = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
-    with pytest.raises(ValueError, match="RlsConfig object"):
-        LtiIntervalEstimator(config, identifier=_Identifier(twin, config.theta_prior))
-    with pytest.raises(TypeError):
-        LtiIntervalEstimator(config, _Identifier(config.rls, config.theta_prior))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -521,39 +489,7 @@ def test_step_checks_the_raw_box_contract():
             est.step([0.0], 0.0, -0.1, 0.1, drift)
 
 
-@pytest.mark.parametrize(
-    "v_low, v_high, drift, error",
-    [
-        (-0.2, 0.1, "same", "noise bounds differ"),
-        (-0.1, 0.2, "same", "noise bounds differ"),
-        (-0.1, 0.1, "equal", "drift box differs"),
-        (-0.1, 0.1, None, "drift box differs"),
-    ],
-)
-def test_follower_with_other_noise_bounds_or_drift_is_refused(v_low, v_high, drift, error):
-    rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
-    lead, follow = shared_estimators(rls, (2, None))
-    box = IntervalVector([-0.01, -0.02], [0.01, 0.02])
-    for _ in range(2):
-        lead.step([0.5, -1.0], 0.1, -0.1, 0.1, box)
-        follow.step([0.5, -1.0], 0.1, -0.1, 0.1, box)
-    lead.step([1.0, 2.0], 0.5, -0.1, 0.1, box)
-    # equal bounds in another box object are refused too: the follower must
-    # hand over the very box the stage took
-    given = {"same": box, "equal": IntervalVector(box.lower, box.upper)}.get(drift)
-    with pytest.raises(ValueError, match=f"step 3: {error}"):
-        follow.step([1.0, 2.0], 0.5, v_low, v_high, given)
-    assert follow.t == 2
-    follow.step([1.0, 2.0], 0.5, -0.1, 0.1, box)
-    assert follow.t == 3
-
-
 def test_standalone_estimator_is_a_stage_of_one():
     a = LtiIntervalEstimator(make_config(n=2))
     b = LtiIntervalEstimator(make_config(n=2))
     assert a._identifier is not b._identifier
-    # sharing needs the very prior box object too: the stage holds the center
-    config = make_config(n=2)
-    twin = replace(config, theta_prior=from_center_radius(np.zeros(2), np.full(2, 4.0)))
-    with pytest.raises(ValueError, match="prior box object"):
-        LtiIntervalEstimator(twin, identifier=_Identifier(config.rls, config.theta_prior))
