@@ -15,7 +15,6 @@ memory does not grow with the number of runs.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -214,6 +213,7 @@ def run_experiment(config: SimConfig, *, dataset_dir=None) -> ExperimentResult:
     with ExitStack() as stack:
         results = map(worker, runs)
         if config.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # pooled studies only
             max_workers = min(config.workers, os.cpu_count() or 1, config.runs)
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=max_workers))
             results = pool.map(worker, runs, chunksize=4)

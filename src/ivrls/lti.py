@@ -44,28 +44,25 @@ every step from the stored radius m steps back:
 
     r_m(t) = |Phi(t,t-m)| r_m(t-m) + sum_{k=t-m+1}^{t} |Phi(t,k) B(k)| r_w(k)
 
-for t > m (exact formula below that).  A step costs O(n w m) for the
-terms plus an amortized O(n^3) for the anchor Phi(t,t-m), which a
-two-stack sliding-window product keeps without inverting anything.  The
-windowed radius dominates the exact one componentwise, so soundness is
-preserved at bounded cost; the excitation diagnostics certify
-boundedness of the recursion itself once m exceeds their threshold.
-Below it the recursion may diverge: the first step whose radius is no
-longer finite raises ArithmeticError naming t and m.
+for t > m (exact formula below that).  The windowed radius dominates the
+exact one componentwise, so soundness is preserved at bounded cost; the
+excitation diagnostics certify boundedness of the recursion itself once
+m exceeds their threshold.  Below it the recursion may diverge: the
+first step whose radius is no longer finite raises ArithmeticError
+naming t and m.
 
-Every mode bounds the error of the same reference identifier; only the
-bound differs with m.  So everything without m in it belongs to one
-per-sample stage: the RLS step, the center c(t), the term block B(t)
-with its radii, and the contiguous A(t)' the radius engine multiplies
-by.  A standalone estimator is a stage of one.  A Monte Carlo study
-builds every mode of a run on one stage and hands each of them the same
-samples, sample-major: the first estimator to step for a sample advances
-the stage, and the others read it, so each sample goes through RLS once;
-only the radius recursion and the refinement are per estimator.
+Every mode bounds the error of the same reference identifier, and the
+terms Phi(t,k) B(k) have no m in them: a window sums the newest m.  So
+one per-sample stage does everything without m in it: the RLS step, the
+center c(t), the term history with its absolute values (one gemm and one
+np.abs per sample) and the full sum.  A window adds O(n w m) for its
+sum and an amortized O(n^3) for its anchor Phi(t,t-m).  A standalone
+estimator is a stage of one; a Monte Carlo study builds every mode of a
+run on one stage and steps them sample-major.
 
 An estimate carries its bounds as read-only arrays, checked against the
-box contract when the step makes them; the IntervalVector views `raw`
-and `refined` are built on first read.
+box contract by the step's one pass over them, which also refines them;
+the IntervalVector views `raw` and `refined` are built on first read.
 
 An optional monotonic post-processor intersects each instantaneous box
 with the running one.  A constant parameter lies in all of them; a
@@ -165,51 +162,51 @@ class IntervalEstimate:
         return IntervalVector(self.refined_lower, self.refined_upper)
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values)
+    arr.setflags(write=False)
+    return arr
+
+
 def _refine(bounds, lower, upper, drift: IntervalVector | None):
-    """One step of the running intersection of the refined bounds.
+    """One step of the running intersection, in one scalar pass that also
+    checks the raw bounds against the box contract.
 
     bounds is the (lower, upper) pair carried so far; a drift box first
-    translates it by the admissible increment.  Returns the new pair,
-    which is the carried (or translated) pair itself when it lies strictly
-    inside the raw bounds, or None when the intersection is empty in some
-    component.
+    translates it.  Returns the new pair, or None when it is empty in some
+    component.  On a tie the raw bound wins, as with np.maximum and
+    np.minimum, which matters for the sign of a zero.  Only a side that
+    changes is a new array: with no cut and no drift, `bounds` comes back.
     """
     lo, hi = bounds
+    los, his = lo.tolist(), hi.tolist()
     if drift is not None:
-        lo = lo + drift.lower
-        hi = hi + drift.upper
-        bounds = (lo, hi)
-    # strictly inside only: on a tie np.maximum and np.minimum pick the raw
-    # bound, which matters for the sign of a zero
-    inside = (lower < lo) & (upper > hi)
-    if np.count_nonzero(inside) == inside.size:
+        los = [a + d for a, d in zip(los, drift.lower.tolist())]
+        his = [b + d for b, d in zip(his, drift.upper.tolist())]
+        lo = hi = None
+    empty = False
+    for i, (a, b) in enumerate(zip(lower.tolist(), upper.tolist())):
+        if not -math.inf < a <= b < math.inf:
+            _check_bounds(lower, upper)
+        if not los[i] > a:
+            los[i], lo = a, None
+        if not his[i] < b:
+            his[i], hi = b, None
+        empty = empty or los[i] > his[i]
+    if empty:
+        return None
+    if lo is not None and hi is not None:
         return bounds
-    lo = np.maximum(lo, lower)
-    hi = np.minimum(hi, upper)
-    return None if np.count_nonzero(lo > hi) else (lo, hi)
+    return (_frozen(los) if lo is None else lo, _frozen(his) if hi is None else hi)
 
 
 class _RadiusRecursion:
-    """Propagates the convolution terms of the radius formula.
+    """The radius of one mode, read off its stage's term history.
 
-    The history holds the columns of [Phi(t,a) | Phi(t,k) B(k) ...]: the
-    anchor block Phi(t,a) first, then one block of `term_width` columns
-    per stored term, oldest first.  It is stored transposed, one row per
-    column, so every live part is a contiguous row slice of one of two
-    preallocated buffers: a step writes the propagated rows into the other
-    buffer, and |history| into the first, whose rows are then dead.
-    `radii` holds the radius each column multiplies (r(a) for the anchor
-    rows, r_w(k) for the terms), so the radius is one gemv:
-
-        r(t) = |history| radii
-
-    Exact mode (window=None) keeps a = 0: Phi(t,0) propagates with the
-    terms, every term is kept, and a step costs O(n w t).  Its buffers grow
-    geometrically up to MAX_EXACT_HORIZON blocks.  Windowed mode does the
-    same until t = window.  After that each step drops the oldest block
-    while propagating the rest, and the anchor rows become
-    Phi(t, t-window) applied to the radius stored window steps back:
-    O(n w window) per step, plus an amortized O(n^3) anchor.
+    Exact mode, and window m while t <= m, take the stage's full sum.
+    After that window m adds |Phi(t,t-m)| r_m(t-m) to the sum over the
+    newest m term blocks of that history, so it keeps only its anchor and
+    its radii of the last m steps, in `radius_ring`.
 
     The anchor is a two-stack sliding-window product over the last
     `window` transition matrices (Tangwongsan, Hirzel & Schneider,
@@ -222,44 +219,14 @@ class _RadiusRecursion:
     together, and no inverse is ever taken.
     """
 
-    def __init__(self, n, prior_radius, window):
-        self.n = n
+    def __init__(self, n, window):
         self.window = window
-        self.term_width = None
-        self.t = 0
-        self._live = n
-        self._rows = np.eye(n)
-        self._spare = np.empty((n, n))
-        self._radii = np.asarray(prior_radius, dtype=float).copy()
         if window is not None:
             self.stacks = np.empty((window, n, n))
             self._top = window
             self._front = None
+            self.abs_anchor = np.empty((n, n))
             self.radius_ring = deque(maxlen=window)
-
-    @property
-    def stored_terms(self) -> int:
-        return (self._live - self.n) // (self.term_width or 1)
-
-    @property
-    def anchor(self) -> np.ndarray:
-        """The matrix applied to the anchor radius: Phi(t, t - window) once
-        t > window, Phi(t, 0) before that and in exact mode."""
-        return self._rows[: self.n].T
-
-    def _reserve(self, rows: int) -> None:
-        """Grow the buffers geometrically to hold at least `rows` rows."""
-        size = len(self._rows)
-        if rows <= size:
-            return
-        blocks = MAX_EXACT_HORIZON if self.window is None else self.window
-        size = min(max(2 * size, rows), self.n + blocks * self.term_width)
-        live = self._live
-        grown = np.empty((size, self.n))
-        grown[:live] = self._rows[:live]
-        radii = np.empty(size)
-        radii[:live] = self._radii[:live]
-        self._rows, self._spare, self._radii = grown, np.empty((size, self.n)), radii
 
     def _slide_anchor(self, At, out) -> None:
         """Push A(t), pop A(t-window) and write Phi(t, t-window)' into out."""
@@ -277,40 +244,26 @@ class _RadiusRecursion:
         else:
             out[...] = self._front
 
-    def step(self, At, term_rows, term_radius) -> np.ndarray:
-        """Append this step's terms and return r(t).
-
-        At is A(t)' and term_rows is B(t)', both C-contiguous: gemm with a
-        transposed operand is several times slower here.
-        """
-        n, m, k = self.n, self.window, self._live
-        w = self.term_width = term_rows.shape[0]
-        self.t += 1
-        if m is None or self.t <= m:
-            self._reserve(k + w)
-            rows, new = self._rows, self._spare
-            np.dot(rows[:k], At, out=new[:k])
+    def step(self, stage) -> np.ndarray:
+        """r(t) for the sample the stage has just taken."""
+        m, t = self.window, stage.state.t
+        if m is None or t <= m:
             if m is not None:
-                self.stacks[self.t - 1] = At
+                self.stacks[t - 1] = stage.At
+            radius = stage.full
         else:
-            rows, new, radii = self._rows, self._spare, self._radii
-            k -= w
-            np.dot(rows[n + w : k + w], At, out=new[n:k])
-            radii[n:k] = radii[n + w : k + w]
-            self._slide_anchor(At, new[:n])
-            radii[:n] = self.radius_ring[0]
-        new[k : k + w] = term_rows
-        self._radii[k : k + w] = term_radius
-        k = self._live = k + w
-        np.abs(new[:k], out=rows[:k])
-        radius = np.dot(self._radii[:k], rows[:k])
+            anchor = self.abs_anchor
+            self._slide_anchor(stage.At, anchor)
+            np.abs(anchor, out=anchor)
+            k = stage.live
+            s = k - m * stage.term_width
+            radius = np.dot(self.radius_ring[0], anchor)
+            radius += np.dot(stage.radii[s:k], stage.abs_rows[s:k])
         if not all(map(math.isfinite, radius.tolist())):
-            mode = "exact" if m is None else m
             raise ArithmeticError(
-                f"radius overflow at t={self.t}, m={mode}: the error bound is "
-                "no longer finite"
+                f"radius overflow at t={t}, m={'exact' if m is None else m}: the "
+                "error bound is no longer finite"
             )
-        self._rows, self._spare = new, rows
         if m is not None:
             self.radius_ring.append(radius)
         return radius
@@ -320,62 +273,105 @@ class _Identifier:
     """The per-sample stage of one data stream: everything of a step that
     does not depend on the mode.
 
-    Built on the RLS settings and the prior box of its estimators.  `_take`
-    advances it by one sample: it checks the noise bounds and the drift
-    box, calls `rls_step`, and computes the center c(t), the transposed
-    term block B(t)' with its radii, and A(t)'.  Estimators on one stage
-    (see `_on_one_stage`) read these results until the next sample.
+    Built on the RLS settings, the prior box and the windows of its
+    estimators (None for exact mode).  `_take` advances it by one sample:
+    it checks the noise bounds and the drift box, calls `rls_step`,
+    computes the center c(t) and A(t)', and propagates the term history.
+    Estimators on one stage (see `_on_one_stage`) read it until the next
+    sample.
+
+    The history holds the columns of [Phi(t,0) | Phi(t,k) B(k) ...],
+    oldest term first, transposed in one of two preallocated buffers so
+    that each part is a contiguous row slice: a step writes the propagated
+    rows into the other buffer and |history| into the first, `abs_rows`.
+    `radii` holds the radius each row multiplies, and `full` is
+    |history| radii, the radius of exact mode and of a window m while
+    t <= m.  With an exact mode the stage keeps every block, growing
+    geometrically up to MAX_EXACT_HORIZON blocks, and refuses a step
+    beyond that before changing anything.  Otherwise it keeps the blocks
+    of the longest window, `keep`, and drops Phi(t,0) and `full` once
+    t > keep, when no mode reads them.
     """
 
-    def __init__(self, config: RlsConfig, prior: IntervalVector):
+    def __init__(self, config: RlsConfig, prior: IntervalVector, windows):
+        n = config.n
         self.config = config
         self.state = rls_init(config)
         self.center = prior.center
-        self.point = self.At = self.term_rows = self.term_radius = None
-        self.term_width = None
+        self.point = self.At = self.term_width = None
+        self.keep = None if None in windows else max(windows)
+        self.live = n
+        self._rows, self._spare = np.eye(n), np.empty((n, n))
+        self.radii = prior.radius
+        self.abs_rows = self.full = None
+
+    def _reserve(self, rows: int, width: int) -> None:
+        """Grow the buffers geometrically to hold at least `rows` rows."""
+        size, n = len(self._rows), self.config.n
+        if rows <= size:
+            return
+        blocks = MAX_EXACT_HORIZON if self.keep is None else self.keep
+        size = min(max(2 * size, rows), n + blocks * width)
+        live = self.live
+        grown = np.empty((size, n))
+        grown[:live] = self._rows[:live]
+        radii = np.empty(size)
+        radii[:live] = self.radii[:live]
+        self._rows, self._spare, self.radii = grown, np.empty((size, n)), radii
 
     def _take(self, x, y, v_low, v_high, drift) -> None:
-        v_low = float(v_low)
-        v_high = float(v_high)
+        keep, t = self.keep, self.state.t + 1
+        if keep is None and t > MAX_EXACT_HORIZON:
+            raise RuntimeError(
+                f"exact-mode horizon cap {MAX_EXACT_HORIZON} exceeded; "
+                "use a truncation window for long runs"
+            )
+        v_low, v_high = float(v_low), float(v_high)
         if not (math.isfinite(v_low) and math.isfinite(v_high)):
             raise ValueError(f"noise bounds must be finite, got [{v_low}, {v_high}]")
         if v_low > v_high:
             raise ValueError(f"noise bound inversion: [{v_low}, {v_high}]")
         n = self.config.n
-        width = 1
+        w = 1
         if drift is not None:
             if drift.dim != n:
                 raise ValueError(f"drift has {drift.dim} components, expected {n}")
-            width = n + 1
-        if self.term_width not in (None, width):
+            w = n + 1
+        if self.term_width not in (None, w):
             given = "given" if drift is not None else "missing"
-            raise ValueError(
-                f"step {self.state.t + 1}: drift box {given}, unlike earlier steps"
-            )
+            raise ValueError(f"step {t}: drift box {given}, unlike earlier steps")
         state = rls_step(self.state, x, y)
-        A = state.last_A
-        q = state.last_q
+        A, q = state.last_A, state.last_q
         c_v = 0.5 * (v_low + v_high)
-        r_v = 0.5 * (v_high - v_low)
         center = A @ self.center + q * (float(y) - c_v)
-        At = A.T.copy()
-        if drift is None:
-            term_rows = q[None, :]
-            term_radius = r_v
+        At = A.T.copy()  # C-contiguous: gemm with a transposed operand is slower
+        k, first = self.live, 0
+        if keep is None or t <= keep:
+            self._reserve(k + w, w)
+            rows, new = self._rows, self._spare
+            np.dot(rows[:k], At, out=new[:k])
         else:
+            rows, new, radii = self._rows, self._spare, self.radii
+            k, first = k - w, n
+            np.dot(rows[n + w : k + w], At, out=new[n:k])
+            radii[n:k] = radii[n + w : k + w]
+        # this step's block B(t)' = [q | -A]' and its radii (r_v, r_delta)
+        new[k] = q
+        self.radii[k] = 0.5 * (v_high - v_low)
+        if drift is not None:
             center = center + A @ drift.center
-            term_rows = np.empty((width, n))
-            term_rows[0] = q
-            np.negative(At, out=term_rows[1:])
-            term_radius = np.empty(width)
-            term_radius[0] = r_v
-            term_radius[1:] = drift.radius
+            np.negative(At, out=new[k + 1 : k + w])
+            self.radii[k + 1 : k + w] = drift.radius
+        k = self.live = k + w
+        np.abs(new[first:k], out=rows[first:k])
+        self._rows, self._spare, self.abs_rows = new, rows, rows
+        # Phi(t,0) is still propagated exactly while some mode is exact or has m >= t
+        self.full = np.dot(self.radii[:k], rows[:k]) if first == 0 else None
         point = state.theta.copy()
-        for arr in (center, point, At, term_rows):
+        for arr in (center, point, At):
             arr.setflags(write=False)
         self.state = state
-        self.center, self.point, self.At = center, point, At
-        self.term_rows, self.term_radius, self.term_width = term_rows, term_radius, width
+        self.center, self.point, self.At, self.term_width = center, point, At, w
 
 
 class LtiIntervalEstimator:
@@ -389,9 +385,9 @@ class LtiIntervalEstimator:
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
-        self._identifier = _Identifier(config.rls, config.theta_prior)
+        self._identifier = _Identifier(config.rls, config.theta_prior, (config.m,))
         self._rls_state = self._identifier.state
-        self._engine = _RadiusRecursion(config.rls.n, config.theta_prior.radius, config.m)
+        self._engine = _RadiusRecursion(config.rls.n, config.m)
         self._mono = (config.theta_prior.lower, config.theta_prior.upper)
         self._inconsistent = False
 
@@ -414,38 +410,26 @@ class LtiIntervalEstimator:
 
         drift, when given, bounds the increment theta(t) - theta(t-1).
         """
-        config = self.config
+        monotonic = self.config.monotonic
         t = self._rls_state.t
-        if config.m is None and t >= MAX_EXACT_HORIZON:
-            raise RuntimeError(
-                f"exact-mode horizon cap {MAX_EXACT_HORIZON} exceeded; "
-                "use a truncation window for long runs"
-            )
         stage = self._identifier
         # the first estimator on the stage to take this sample advances it;
         # the others find it one step ahead and read it
         if stage.state.t == t:
             stage._take(x, y, v_low, v_high, drift)
         self._rls_state = stage.state
-        radius = self._engine.step(stage.At, stage.term_rows, stage.term_radius)
+        radius = self._engine.step(stage)
         lower = stage.center - radius
         upper = stage.center + radius
-        _check_bounds(lower, upper)
         lower.setflags(write=False)
         upper.setflags(write=False)
-        refined_lower = refined_upper = None
-        if config.monotonic:
-            if not self._inconsistent:
-                bounds = _refine(self._mono, lower, upper, drift)
-                if bounds is None:
-                    self._inconsistent = True
-                elif bounds is not self._mono:
-                    lo, hi = bounds
-                    _check_bounds(lo, hi)
-                    lo.setflags(write=False)
-                    hi.setflags(write=False)
-                    self._mono = bounds
-            refined_lower, refined_upper = self._mono
+        if monotonic and not self._inconsistent:
+            bounds = _refine(self._mono, lower, upper, drift)
+            self._inconsistent = bounds is None
+            self._mono = bounds or self._mono
+        else:
+            _check_bounds(lower, upper)
+        refined_lower, refined_upper = self._mono if monotonic else (None, None)
         return IntervalEstimate(
             t + 1, stage.point, lower, upper, refined_lower, refined_upper,
             self._inconsistent,
@@ -459,11 +443,15 @@ def _on_one_stage(base: EstimatorConfig, modes) -> list[LtiIntervalEstimator]:
     sample-major, every estimator on a sample before any takes the next.
     Nothing checks this.  The stage takes the sample of whichever
     estimator steps first, and the others read its results.  Under this
-    contract each estimator's boxes are bit-identical to those of an
-    estimator of its own.
+    contract each estimator's point estimate and raw bounds are those of
+    an estimator of its own, bit for bit in exact mode and for a window m
+    while t <= m.  Past that a window reads its newest m term blocks from
+    a history that the stage propagates with more blocks per matrix
+    product than an estimator of its own would, so its bounds may differ
+    from that estimator's by rounding.
     """
     estimators = [LtiIntervalEstimator(replace(base, m=m)) for m in modes]
-    stage = estimators[0]._identifier
-    for est in estimators[1:]:
+    stage = _Identifier(base.rls, base.theta_prior, [est.config.m for est in estimators])
+    for est in estimators:
         est._identifier, est._rls_state = stage, stage.state
     return estimators

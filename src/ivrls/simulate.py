@@ -26,6 +26,7 @@ datasets on any platform with a faithful libm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,7 @@ def _simulate(
     for i in range(N):
         X[i, :n_a] = -padded[i : i + n_a][::-1]
         y[i] = X[i] @ theta_path[i] + v[i]
-        if not np.isfinite(y[i]):
+        if not math.isfinite(y[i]):
             raise ValueError(
                 f"simulated output diverged (non-finite y) at t={i + 1}; "
                 "the chosen parameters make the closed recursion unstable"

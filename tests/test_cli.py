@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import ivrls
 from ivrls import cli, simulate
 from ivrls.cli import main
 from ivrls.simulate import SimConfig, generate_lti
@@ -251,3 +254,15 @@ def test_single_file_commands_default_to_the_study_settings(command, keys):
     assert {key: getattr(args, key) for key in keys} == {
         key: getattr(SimConfig(), key) for key in keys
     }
+
+
+def test_importing_the_package_and_the_cli_loads_no_process_pool():
+    # a serial study never needs multiprocessing, so importing ivrls must
+    # not pay for it; pooled studies import the pool when they start it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ivrls.__file__)))
+    code = ("import sys, ivrls, ivrls.cli; print(sorted(name for name in sys.modules "
+            "if name.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    assert out.strip() == "[]"

@@ -210,14 +210,15 @@ def test_inconsistency_freezes_refined_bounds():
 def test_exact_mode_stores_linearly_growing_state():
     ds = generate_lti(SimConfig(horizon=40, seed=18), seed=18)
     est, _ = run_on(ds, make_config())
-    assert est._engine.stored_terms == 40
-    assert est._engine.anchor.shape == (4, 4)
+    stage = est._identifier
+    assert stage.keep is None and stage.live == 4 + 40
+    assert not hasattr(est._engine, "radius_ring")
 
 
 def test_windowed_mode_stores_bounded_state():
     ds = generate_lti(SimConfig(horizon=40, seed=18), seed=18)
     est, _ = run_on(ds, make_config(m=7))
-    assert est._engine.stored_terms == 7
+    assert est._identifier.keep == 7 and est._identifier.live == 4 + 7
     assert len(est._engine.stacks) == 7
     assert len(est._engine.radius_ring) == 7
 
@@ -226,16 +227,17 @@ def test_windowed_buffers_stop_growing_at_the_window():
     m = 7
     ds = generate_lti(SimConfig(horizon=10_000, seed=20), seed=20)
     est = LtiIntervalEstimator(make_config(m=m))
-    engine = est._engine
+    stage, engine = est._identifier, est._engine
     for i in range(ds.N):
         est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i])
-        buffers = {id(engine._rows), id(engine._spare), id(engine._radii), id(engine.stacks)}
+        buffers = {id(stage._rows), id(stage._spare), id(stage.radii), id(engine.stacks),
+                   id(engine.abs_anchor)}
         if i + 1 == m:
             held = buffers
-            rows = len(engine._rows)
+            rows = len(stage._rows)
         elif i + 1 > m:
-            assert buffers == held and len(engine._rows) == rows
-            assert engine.stored_terms == m and len(engine.radius_ring) == m
+            assert buffers == held and len(stage._rows) == rows
+            assert stage.live == 4 + m and len(engine.radius_ring) == m
     assert rows == 4 + m
 
 
@@ -246,16 +248,22 @@ def test_anchor_matches_brute_force_product(m, drifting):
     n = 4
     ds = generate_lti(SimConfig(horizon=4 * m + 10, seed=21), seed=21)
     est = LtiIntervalEstimator(make_config(n=n, m=m))
+    stage, engine = est._identifier, est._engine
     drift = from_center_radius(np.zeros(n), np.full(n, 1e-3)) if drifting else None
     As = []
     for i in range(ds.N):
         est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
         As.append(est.rls_state.last_A)
         t = i + 1
-        np.testing.assert_allclose(
-            est._engine.anchor, phi_product(As, t, max(t - m, 0)), rtol=1e-12, atol=0
-        )
-    assert est._engine.term_width == (n + 1 if drifting else 1)
+        if t <= m:  # the stage's Phi(t,0), which the full sum reads
+            np.testing.assert_allclose(
+                stage._rows[:n].T, phi_product(As, t, 0), rtol=1e-12, atol=0
+            )
+        else:  # the mode's own |Phi(t,t-m)|, stored transposed
+            np.testing.assert_allclose(
+                engine.abs_anchor.T, np.abs(phi_product(As, t, t - m)), rtol=1e-12, atol=0
+            )
+    assert stage.term_width == (n + 1 if drifting else 1)
 
 
 def test_windowed_radius_dominates_exact_on_a_long_stream():
@@ -287,7 +295,7 @@ def test_exact_horizon_refusal_changes_no_state(monkeypatch):
     for _ in range(2):
         with pytest.raises(RuntimeError, match="horizon cap 3"):
             est.step(rng.normal(size=2), 1.0, -0.1, 0.1)
-        assert est.t == 3 and est._engine.t == 3 and est.rls_state is state
+        assert est.t == 3 and est._identifier.live == 2 + 3 and est.rls_state is state
         assert est._identifier.center is center
 
 
@@ -320,7 +328,11 @@ def shared_estimators(rls, modes, monotonic=True, prior=4.0):
 
 def check_shared_matches_independent(drifting, reverse):
     """Step the modes on one stage, in the given order within each sample,
-    next to estimators of their own, and compare every output bit."""
+    next to estimators of their own.  The point, exact mode and a window m
+    while t <= m agree bit for bit.  Past that a window reads its terms
+    from a history propagated with more blocks per matrix product than its
+    own estimator's, so its bounds agree to rounding and still dominate
+    the exact ones."""
     modes = (1, 7, None)
     lam = 0.1 if drifting else 0.99
     config = SimConfig(horizon=60, seed=24, lam=lam,
@@ -336,15 +348,22 @@ def check_shared_matches_independent(drifting, reverse):
             drift = IntervalVector(ds.delta_low[i], ds.delta_high[i])
         sample = (ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
         # whichever mode steps first advances the stage
-        pairs = list(zip(shared, alone))
-        for a, b in reversed(pairs) if reverse else pairs:
+        pairs = list(zip(modes, shared, alone))
+        radii = {}
+        for m, a, b in reversed(pairs) if reverse else pairs:
             out, ref = a.step(*sample), b.step(*sample)
             assert out.t == ref.t == i + 1 and out.inconsistent == ref.inconsistent
-            for x, y in ((out.point, ref.point),
-                         (out.raw.lower, ref.raw.lower), (out.raw.upper, ref.raw.upper),
+            assert out.point.tobytes() == ref.point.tobytes()
+            for x, y in ((out.raw.lower, ref.raw.lower), (out.raw.upper, ref.raw.upper),
                          (out.refined.lower, ref.refined.lower),
                          (out.refined.upper, ref.refined.upper)):
-                assert x.tobytes() == y.tobytes()
+                if m is None or out.t <= m:
+                    assert x.tobytes() == y.tobytes()
+                else:
+                    np.testing.assert_allclose(x, y, rtol=1e-12, atol=0)
+            radii[m] = out.raw.radius
+        for m in modes[:-1]:
+            assert np.all(radii[m] >= radii[None] * (1 - 1e-12))
     # every estimator keeps its own view of the identifier's state
     assert all(a.rls_state is shared[0].rls_state for a in shared)
 
@@ -357,6 +376,103 @@ def test_shared_identifier_matches_independent_estimators(drifting):
 @pytest.mark.parametrize("drifting", [False, True])
 def test_shared_modes_stepped_in_reverse_order_match_independent_estimators(drifting):
     check_shared_matches_independent(drifting, reverse=True)
+
+
+def brute_force_radii(As, terms, prior, modes):
+    """r(t) of each mode from directly multiplied Phi products: the full
+    sum for exact mode and for t <= m, else the window's recursion."""
+    radii = {m: [] for m in modes}
+    for m, out in radii.items():
+        for t in range(1, len(As) + 1):
+            start = 0 if m is None or t <= m else t - m
+            r = np.abs(phi_product(As, t, start)) @ (prior if start == 0 else out[start - 1])
+            for k in range(start + 1, t + 1):
+                B, r_w = terms[k - 1]
+                r = r + np.abs(phi_product(As, t, k) @ B) @ r_w
+            out.append(r)
+    return radii
+
+
+@pytest.mark.parametrize("drifting", [False, True])
+@pytest.mark.parametrize("modes", [(1, 2, 7, None), (3, 7)])
+def test_every_mode_on_one_stage_matches_a_brute_force_radius(modes, drifting, monkeypatch):
+    n, N, lam = 4, 30, 0.9
+    config = SimConfig(horizon=N, seed=26, lam=lam,
+                       drift_radius=REFERENCE_DRIFT_RADIUS if drifting else None)
+    ds = generate_ltv(config, seed=26) if drifting else generate_lti(config, seed=26)
+    radii = {m: [] for m in modes}
+    real_step = lti._RadiusRecursion.step
+
+    def recording(self, stage):
+        radius = real_step(self, stage)
+        radii[self.window].append(radius.copy())
+        return radius
+
+    monkeypatch.setattr(lti._RadiusRecursion, "step", recording)
+    ests = shared_estimators(RlsConfig(theta0=np.zeros(n), P0=1000.0 * np.eye(n), lam=lam),
+                             modes)
+    As, terms = [], []
+    for i in range(N):
+        drift = IntervalVector(ds.delta_low[i], ds.delta_high[i]) if drifting else None
+        for est in ests:
+            est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
+        A, q = ests[0].rls_state.last_A, ests[0].rls_state.last_q
+        B, r_w = q[:, None], np.array([0.5 * (ds.v_high[i] - ds.v_low[i])])
+        if drifting:
+            B, r_w = np.hstack([B, -A]), np.concatenate([r_w, drift.radius])
+        As.append(A)
+        terms.append((B, r_w))
+    expected = brute_force_radii(As, terms, np.full(n, 4.0), modes)
+    for m in modes:
+        np.testing.assert_allclose(radii[m], expected[m], rtol=1e-12, atol=0)
+
+
+def test_full_sum_is_computed_once_per_sample_and_shared():
+    rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
+    ests = shared_estimators(rls, (3, None))
+    rng = np.random.default_rng(27)
+    for t in range(1, 6):
+        x, y = rng.normal(size=2), rng.normal()
+        outs = [est.step(x, y, -0.1, 0.1) for est in ests]
+        # a window still inside its first m steps reads the exact radius,
+        # the very array the stage summed for this sample
+        ring = ests[0]._engine.radius_ring
+        assert (ring[-1] is ests[0]._identifier.full) == (t <= 3)
+        if t <= 3:
+            assert outs[0].lower.tobytes() == outs[1].lower.tobytes()
+    # without an exact mode the stage drops the full sum past the longest window
+    ests = shared_estimators(rls, (2, 3))
+    for t in range(1, 6):
+        x, y = rng.normal(size=2), rng.normal()
+        for est in ests:
+            est.step(x, y, -0.1, 0.1)
+        assert (ests[0]._identifier.full is None) == (t > 3)
+
+
+def test_exact_horizon_refusal_on_a_shared_stage_changes_no_mode(monkeypatch):
+    monkeypatch.setattr(lti, "MAX_EXACT_HORIZON", 3)
+    rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
+    ests = shared_estimators(rls, (2, None))
+    rng = np.random.default_rng(28)
+    for _ in range(3):
+        x, y = rng.normal(size=2), rng.normal()
+        for est in ests:
+            est.step(x, y, -0.1, 0.1)
+    stage, windowed = ests[0]._identifier, ests[0]._engine
+    state, center, abs_rows = stage.state, stage.center, stage.abs_rows.copy()
+    ring, stacks, top = list(windowed.radius_ring), windowed.stacks.copy(), windowed._top
+    monos = [est._mono for est in ests]
+    # the stage keeps the full history for exact mode, so it refuses the
+    # sample whichever mode steps first
+    for est in ests + ests[::-1]:
+        with pytest.raises(RuntimeError, match="horizon cap 3"):
+            est.step(rng.normal(size=2), 1.0, -0.1, 0.1)
+        assert est.t == 3 and est.rls_state is state
+    assert stage.state is state and stage.center is center and stage.live == 2 + 3
+    assert stage.abs_rows[:5].tobytes() == abs_rows[:5].tobytes()
+    assert list(windowed.radius_ring) == ring and windowed._top == top
+    assert windowed.stacks.tobytes() == stacks.tobytes()
+    assert [est._mono for est in ests] == monos and not any(e.inconsistent for e in ests)
 
 
 def test_shared_identifier_steps_rls_once_per_sample(monkeypatch):

@@ -78,7 +78,7 @@ def test_step_rejects_switching_drift():
     with pytest.raises(ValueError, match="step 3: drift box given"):
         est.step(np.ones(2), 0.0, -0.1, 0.1, drift)
     # the refused step leaves the estimator where it was
-    assert est.t == 2 and est._engine.stored_terms == 2
+    assert est.t == 2 and est._identifier.live == 2 + 2
 
 
 def test_zero_drift_reduces_to_lti():
