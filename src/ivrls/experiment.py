@@ -149,17 +149,19 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
     ]
     samples = zip(dataset.X, dataset.y.tolist(), dataset.v_low.tolist(),
                   dataset.v_high.tolist(), drifts)
+    point = traces[0].point
     for i, sample in enumerate(samples):
         for est, trace in zip(estimators, traces):
             est_out = est.step(*sample)
-            trace.point[i] = est_out.point
             trace.lower[i] = est_out.lower
             trace.upper[i] = est_out.upper
             if mono:
                 trace.mono_lower[i] = est_out.refined_lower
                 trace.mono_upper[i] = est_out.refined_upper
             trace.inconsistent[i] = est_out.inconsistent
+        point[i] = est_out.point  # the same for every mode: read off the shared stage
     for trace in traces:
+        trace.point[:] = point
         # the raw boxes' center and radius views, elementwise as the boxes
         # compute them, so the same bits as reading them step by step
         trace.center[:] = 0.5 * trace.upper + 0.5 * trace.lower

@@ -37,10 +37,10 @@ center recursion gains the feedthrough A(t) c_delta(t), and the radius
 formulas apply |Phi(t,k) B(k)| to the stacked radii (r_v(k), r_delta(k)).
 Constant parameters are the case without a drift block.
 
-Exact mode keeps every propagated term, so a step costs O(n w t) for
-terms of width w (1, or n+1 with drift) and its state grows linearly
-with t.  Windowed mode (truncation horizon m) restarts the convolution
-every step from the stored radius m steps back:
+Exact mode keeps every propagated term, of width w (1, or n+1 with
+drift), so a step multiplies n w t entries by the n x n A(t), O(n^2 w t),
+and its state grows linearly with t.  Windowed mode (truncation horizon m)
+restarts the convolution every step from the stored radius m steps back:
 
     r_m(t) = |Phi(t,t-m)| r_m(t-m) + sum_{k=t-m+1}^{t} |Phi(t,k) B(k)| r_w(k)
 
@@ -55,10 +55,10 @@ Every mode bounds the error of the same reference identifier, and the
 terms Phi(t,k) B(k) have no m in them: a window sums the newest m.  So
 one per-sample stage does everything without m in it: the RLS step, the
 center c(t), the term history with its absolute values (one gemm and one
-np.abs per sample) and the full sum.  A window adds O(n w m) for its
-sum and an amortized O(n^3) for its anchor Phi(t,t-m).  A standalone
-estimator is a stage of one; a Monte Carlo study builds every mode of a
-run on one stage and steps them sample-major.
+np.abs per sample, O(n^2 w) per kept term block) and the full sum.  A
+window adds O(n w m) for its sum and an amortized O(n^3) for its anchor
+Phi(t,t-m).  A standalone estimator is a stage of one; a Monte Carlo
+study builds every mode of a run on one stage and steps them sample-major.
 
 An estimate carries its bounds as read-only arrays, checked against the
 box contract by the step's one pass over them, which also refines them;
@@ -130,7 +130,7 @@ class EstimatorConfig:
             object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class IntervalEstimate:
     """One time step of estimator output.
 
@@ -150,6 +150,10 @@ class IntervalEstimate:
     refined_lower: np.ndarray | None
     refined_upper: np.ndarray | None
     inconsistent: bool
+
+    def __init__(self, t, point, lower, upper, refined_lower, refined_upper, inconsistent):
+        self.__dict__.update(t=t, point=point, lower=lower, upper=upper, inconsistent=inconsistent,
+                             refined_lower=refined_lower, refined_upper=refined_upper)
 
     @cached_property
     def raw(self):
@@ -306,10 +310,8 @@ class _Identifier:
         self.abs_rows = self.full = None
 
     def _reserve(self, rows: int, width: int) -> None:
-        """Grow the buffers geometrically to hold at least `rows` rows."""
+        """Grow the full buffers geometrically to hold at least `rows` rows."""
         size, n = len(self._rows), self.config.n
-        if rows <= size:
-            return
         blocks = MAX_EXACT_HORIZON if self.keep is None else self.keep
         size = min(max(2 * size, rows), n + blocks * width)
         live = self.live
@@ -343,11 +345,12 @@ class _Identifier:
         state = rls_step(self.state, x, y)
         A, q = state.last_A, state.last_q
         c_v = 0.5 * (v_low + v_high)
-        center = A @ self.center + q * (float(y) - c_v)
+        center = np.dot(A, self.center) + q * (float(y) - c_v)
         At = A.T.copy()  # C-contiguous: gemm with a transposed operand is slower
         k, first = self.live, 0
         if keep is None or t <= keep:
-            self._reserve(k + w, w)
+            if k + w > len(self._rows):
+                self._reserve(k + w, w)
             rows, new = self._rows, self._spare
             np.dot(rows[:k], At, out=new[:k])
         else:
@@ -359,7 +362,7 @@ class _Identifier:
         new[k] = q
         self.radii[k] = 0.5 * (v_high - v_low)
         if drift is not None:
-            center = center + A @ drift.center
+            center = center + np.dot(A, drift.center)
             np.negative(At, out=new[k + 1 : k + w])
             self.radii[k + 1 : k + w] = drift.radius
         k = self.live = k + w

@@ -335,7 +335,7 @@ def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeRep
     eta_q = 0.0
     for t, x in enumerate(X, 1):
         q, P = _gain_update(P, x, config.lam, t)
-        eta_q = max(eta_q, float(np.linalg.norm(q)))
+        eta_q = max(eta_q, math.sqrt(np.dot(q, q)))
 
     is_pe = alpha > 0.0
     nan = math.nan

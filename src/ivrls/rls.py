@@ -85,7 +85,7 @@ class RlsConfig:
         return self.theta0.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RlsState:
     """Identifier state after t steps.
 
@@ -99,6 +99,10 @@ class RlsState:
     P: np.ndarray
     last_q: np.ndarray
     last_A: np.ndarray
+
+    def __init__(self, config, t, theta, P, last_q, last_A):
+        # one dict update, not the generated __init__'s object.__setattr__ per field
+        self.__dict__.update(config=config, t=t, theta=theta, P=P, last_q=last_q, last_A=last_A)
 
 
 def rls_init(config: RlsConfig) -> RlsState:
@@ -124,17 +128,17 @@ def _identity(n: int) -> np.ndarray:
 def _gain_update(P: np.ndarray, x: np.ndarray, lam: float, t: int):
     """Gain q(t) and covariance P(t) from P(t-1) and a finite regressor,
     failing fast at step t when P loses definiteness or overflows."""
-    Px = P @ x
-    denom = lam + x @ Px
+    Px = np.dot(P, x)
+    denom = lam + np.dot(x, Px)
     if denom <= 0.0 or not math.isfinite(denom):
         raise ArithmeticError(
             f"gain denominator {denom:g} at t={t}: covariance lost "
             "positive definiteness"
         )
     q = Px / denom
-    P = (P - q[:, None] * Px) / lam
+    P = (P - np.multiply.outer(q, Px)) / lam
     P = 0.5 * (P + P.T)
-    if not math.isfinite(P.sum()):
+    if not math.isfinite(np.add.reduce(P, axis=None)):
         raise ArithmeticError(f"covariance overflow at t={t}: P is no longer finite")
     return q, P
 
@@ -145,17 +149,17 @@ def rls_step(state: RlsState, x, y: float) -> RlsState:
     n = state.config.n
     if x.shape[0] != n:
         raise ValueError(f"x must have {n} components, got {x.shape[0]}")
-    if np.count_nonzero(np.isfinite(x)) != n:
+    if not all(map(math.isfinite, x.tolist())):
         raise ValueError("x must be finite")
     y = float(y)
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y}")
 
     q, P = _gain_update(state.P, x, state.config.lam, state.t + 1)
-    theta = state.theta + q * (y - x @ state.theta)
+    theta = state.theta + q * (y - np.dot(x, state.theta))
     # I - q x', not -(q x') with 1 added on the diagonal: negating would
     # turn the zeros an FIR regressor leaves in q x' into -0.0
-    A = _identity(n) - q[:, None] * x
+    A = _identity(n) - np.multiply.outer(q, x)
     return RlsState(
         config=state.config,
         t=state.t + 1,

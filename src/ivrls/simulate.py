@@ -141,7 +141,7 @@ def _simulate(
     y = padded[n_a:]
     for i in range(N):
         X[i, :n_a] = -padded[i : i + n_a][::-1]
-        y[i] = X[i] @ theta_path[i] + v[i]
+        y[i] = np.dot(X[i], theta_path[i]) + v[i]
         if not math.isfinite(y[i]):
             raise ValueError(
                 f"simulated output diverged (non-finite y) at t={i + 1}; "

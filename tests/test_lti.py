@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -544,6 +547,28 @@ def test_estimate_arrays_are_read_only_and_the_boxes_built_on_read():
                 assert out.refined is out.refined
                 assert out.refined.lower.tobytes() == out.refined_lower.tobytes()
                 assert out.refined.upper.tobytes() == out.refined_upper.tobytes()
+
+
+def test_per_step_dataclasses_stay_frozen_dataclasses():
+    # RlsState and IntervalEstimate fill their fields in an __init__ of their own
+    est = LtiIntervalEstimator(make_config(n=2, monotonic=True))
+    out = est.step([1.0, 0.5], 0.2, -0.1, 0.1)
+    for obj in (est.rls_state, out):
+        names = [f.name for f in dataclasses.fields(obj)]
+        assert names == list(inspect.signature(type(obj)).parameters)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+        copy = dataclasses.replace(obj)
+        assert type(copy) is type(obj)
+        assert all(getattr(copy, name) is getattr(obj, name) for name in names)
+    assert dataclasses.replace(est.rls_state, t=7).t == 7
+    raw = out.raw
+    assert out.raw is raw and vars(out)["raw"] is raw
+    # a replaced estimate builds its own box from its own bounds
+    moved = dataclasses.replace(out, lower=out.lower - 1.0)
+    assert moved.raw is not raw
+    assert moved.raw.lower.tobytes() == (out.lower - 1.0).tobytes()
 
 
 def test_reading_a_box_calls_the_module_level_interval_vector(monkeypatch):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ivrls.intervals import from_center_radius
+from ivrls.lti import _Identifier
 from ivrls.rls import RlsConfig, _identity, rls_init, rls_step
 
 from helpers import batch_rls, collect_run, random_spd
@@ -171,22 +173,40 @@ def test_collect_run_helper_consistency():
 
 def test_transition_and_covariance_bit_equal_to_outer_products():
     # an FIR regressor fills up from zeros: entries of q x' that are zero
-    # must come out of I - q x' as +0.0, as with np.eye and np.outer
+    # must come out of I - q x' as +0.0, as with np.eye and np.outer.  The
+    # library's np.dot must give the bits of the @ forms written here.
     config = RlsConfig(theta0=np.zeros(4), P0=10.0 * np.eye(4), lam=0.95)
     state = rls_init(config)
+    prior = from_center_radius([0.5, -0.25, 1.0, 0.0], np.full(4, 4.0))
+    drift = from_center_radius([0.01, -0.02, 0.0, 0.03], np.full(4, 0.05))
+    # an exact stage without drift, and a windowed one with a drift box at every step
+    stages = [(None, _Identifier(config, prior, (None,))),
+              (drift, _Identifier(config, prior, (3,)))]
     u = [1.0, -0.5, 2.0, 0.25, -1.5, 0.75]
     for t in range(1, len(u) + 1):
         x = np.array((u[:t][::-1] + [0.0] * 4)[:4])
+        y, v_low, v_high = 0.3 * t, -0.1, 0.2
         prev = state
-        state = rls_step(prev, x, 0.3 * t)
+        state = rls_step(prev, x, y)
         q, Px = state.last_q, prev.P @ x
         expected_A = np.eye(4) - np.outer(q, x)
         expected_P = (prev.P - np.outer(q, Px)) / config.lam
         expected_P = 0.5 * (expected_P + expected_P.T)
+        assert q.tobytes() == (Px / (config.lam + x @ Px)).tobytes()
+        assert state.theta.tobytes() == (prev.theta + q * (y - x @ prev.theta)).tobytes()
         assert state.last_A.tobytes() == expected_A.tobytes()
         assert state.P.tobytes() == expected_P.tobytes()
         zeros = state.last_A == 0.0
         assert zeros.any() == (t < 4) and not np.signbit(state.last_A[zeros]).any()
+        for box, stage in stages:
+            c = stage.center
+            stage._take(x, y, v_low, v_high, box)
+            A = stage.state.last_A
+            assert A.tobytes() == expected_A.tobytes()
+            expected_c = A @ c + q * (y - 0.5 * (v_low + v_high))
+            if box is not None:
+                expected_c = expected_c + A @ box.center
+            assert stage.center.tobytes() == expected_c.tobytes()
     # the cached identity is shared, read-only and never handed out
     assert _identity(4) is _identity(4) and not _identity(4).flags.writeable
     assert state.last_A.flags.writeable
