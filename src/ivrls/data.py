@@ -170,17 +170,22 @@ class Dataset:
         return self.delta_low is not None
 
     def validate(self) -> None:
-        """Value-level checks: noise bounds ordered and honored, drift sane."""
-        bad = np.flatnonzero(self.v_low > self.v_high)
+        """Value-level checks: every bound finite and ordered, noise bounds honored."""
+        lo, hi = self.v_low, self.v_high
+        bad = np.flatnonzero(~((lo <= hi) & np.isfinite(lo) & np.isfinite(hi)))
         if bad.size:
-            raise ValueError(f"v_lo > v_hi at rows {bad.tolist()}")
+            raise ValueError(f"v_lo > v_hi, or a non-finite noise bound, at rows {bad.tolist()}")
         if self.v is not None:
-            bad = np.flatnonzero((self.v < self.v_low) | (self.v > self.v_high))
+            bad = np.flatnonzero(~((self.v_low <= self.v) & (self.v <= self.v_high)))
             if bad.size:
                 raise ValueError(f"v outside its declared bounds at rows {bad.tolist()}")
         if self.is_ltv:
-            if np.any(self.delta_low > self.delta_high):
-                raise ValueError("delta_lo > delta_hi in some row")
+            lo, hi = self.delta_low, self.delta_high
+            bad = ~((lo <= hi) & np.isfinite(lo) & np.isfinite(hi))
+            if bad.any():
+                row = int(np.flatnonzero(bad.any(axis=1))[0])
+                raise ValueError(f"delta_lo > delta_hi, or a non-finite drift bound, at row "
+                                 f"{row}, components {np.flatnonzero(bad[row]).tolist()}")
 
     def columns(self) -> list[str]:
         return [

@@ -119,13 +119,24 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
 
     The modes are built on one per-sample stage and stepped sample-major,
     as that stage asks, so each sample goes through RLS and the center
-    recursion once; the estimates' bound arrays are copied into the traces
-    without building box objects.
+    recursion once.  A run of drift rows with the same bits shares one
+    drift box, which the stage takes apart once.  The estimates' bound
+    arrays are copied into the traces without building box objects.
     """
     n, N = dataset.n, dataset.N
     drifts = [None] * N
     if dataset.is_ltv:
-        drifts = [IntervalVector(*b) for b in zip(dataset.delta_low, dataset.delta_high)]
+        lo, hi = dataset.delta_low, dataset.delta_high
+        bits = np.hstack((lo, hi)).view(np.int64)
+        new = np.ones(N, dtype=bool)
+        new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+        boxes = []
+        for s in np.flatnonzero(new).tolist():
+            try:
+                boxes.append(IntervalVector(lo[s], hi[s]))
+            except ValueError as exc:
+                raise ValueError(f"step {s + 1}: drift {exc}") from None
+        drifts = [boxes[j] for j in (np.cumsum(new) - 1).tolist()]
     base = estimator_config(
         n, config.lam, config.p0_scale, config.prior_radius, None, config.monotonic
     )

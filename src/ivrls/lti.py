@@ -172,26 +172,27 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def _refine(bounds, lower, upper, drift: IntervalVector | None):
+def _refine(bounds, lower, upper, drift):
     """One step of the running intersection, in one scalar pass that also
     checks the raw bounds against the box contract.
 
-    bounds is the (lower, upper) pair carried so far; a drift box first
-    translates it.  Returns the new pair, or None when it is empty in some
-    component.  On a tie the raw bound wins, as with np.maximum and
-    np.minimum, which matters for the sign of a zero.  Only a side that
-    changes is a new array: with no cut and no drift, `bounds` comes back.
+    bounds is the (lower, upper) pair carried so far; drift, a drift box
+    as (lower, upper) float lists, translates it first.  Returns the new
+    pair, or None if it is empty in some component.  A tie goes to the raw
+    bound, as in np.maximum and np.minimum (the sign of a zero).  Only a
+    side that changes is a new array: no cut, no drift, `bounds` returns.
     """
     lo, hi = bounds
     los, his = lo.tolist(), hi.tolist()
     if drift is not None:
-        los = [a + d for a, d in zip(los, drift.lower.tolist())]
-        his = [b + d for b, d in zip(his, drift.upper.tolist())]
-        lo = hi = None
+        (dlo, dhi), lo, hi = drift, None, None
     empty = False
     for i, (a, b) in enumerate(zip(lower.tolist(), upper.tolist())):
         if not -math.inf < a <= b < math.inf:
             _check_bounds(lower, upper)
+        if drift is not None:
+            los[i] += dlo[i]
+            his[i] += dhi[i]
         if not los[i] > a:
             los[i], lo = a, None
         if not his[i] < b:
@@ -279,10 +280,10 @@ class _Identifier:
 
     Built on the RLS settings, the prior box and the windows of its
     estimators (None for exact mode).  `_take` advances it by one sample:
-    it checks the noise bounds and the drift box, calls `rls_step`,
-    computes the center c(t) and A(t)', and propagates the term history.
-    Estimators on one stage (see `_on_one_stage`) read it until the next
-    sample.
+    it checks the noise bounds, calls `rls_step`, computes c(t) and A(t)',
+    and propagates the term history; a drift box it checks and takes apart
+    only when a new box object arrives.  Estimators on one stage (see
+    `_on_one_stage`) read it until the next sample, `drift_bounds` too.
 
     The history holds the columns of [Phi(t,0) | Phi(t,k) B(k) ...],
     oldest term first, transposed in one of two preallocated buffers so
@@ -307,7 +308,7 @@ class _Identifier:
         self.live = n
         self._rows, self._spare = np.eye(n), np.empty((n, n))
         self.radii = prior.radius
-        self.abs_rows = self.full = None
+        self.abs_rows = self.full = self._drift = self.drift_bounds = None
 
     def _reserve(self, rows: int, width: int) -> None:
         """Grow the full buffers geometrically to hold at least `rows` rows."""
@@ -334,14 +335,15 @@ class _Identifier:
         if v_low > v_high:
             raise ValueError(f"noise bound inversion: [{v_low}, {v_high}]")
         n = self.config.n
-        w = 1
-        if drift is not None:
-            if drift.dim != n:
-                raise ValueError(f"drift has {drift.dim} components, expected {n}")
-            w = n + 1
+        w = 1 if drift is None else n + 1
         if self.term_width not in (None, w):
             given = "given" if drift is not None else "missing"
             raise ValueError(f"step {t}: drift box {given}, unlike earlier steps")
+        if drift is not None and drift is not self._drift:
+            if drift.dim != n:
+                raise ValueError(f"drift has {drift.dim} components, expected {n}")
+            self._drift, self.drift_bounds = drift, (drift.lower.tolist(), drift.upper.tolist())
+            self._drift_center, self._drift_radius = drift.center, drift.radius
         state = rls_step(self.state, x, y)
         A, q = state.last_A, state.last_q
         c_v = 0.5 * (v_low + v_high)
@@ -362,9 +364,9 @@ class _Identifier:
         new[k] = q
         self.radii[k] = 0.5 * (v_high - v_low)
         if drift is not None:
-            center = center + np.dot(A, drift.center)
+            center = center + np.dot(A, self._drift_center)
             np.negative(At, out=new[k + 1 : k + w])
-            self.radii[k + 1 : k + w] = drift.radius
+            self.radii[k + 1 : k + w] = self._drift_radius
         k = self.live = k + w
         np.abs(new[first:k], out=rows[first:k])
         self._rows, self._spare, self.abs_rows = new, rows, rows
@@ -427,6 +429,7 @@ class LtiIntervalEstimator:
         lower.setflags(write=False)
         upper.setflags(write=False)
         if monotonic and not self._inconsistent:
+            drift = None if drift is None else stage.drift_bounds
             bounds = _refine(self._mono, lower, upper, drift)
             self._inconsistent = bounds is None
             self._mono = bounds or self._mono

@@ -177,6 +177,24 @@ def test_validate_checks_v_within_bounds():
         ds.validate()
 
 
+def test_validate_rejects_nan_values_naming_the_rows():
+    ds = Dataset(t=[1, 2, 3], X=[[0.0, 0.0]] * 3, y=[0.0] * 3, v_low=[-0.1] * 3,
+                 v_high=[0.1] * 3, delta_low=[[-0.1, -0.1]] * 3, delta_high=[[0.1, 0.1]] * 3)
+    ds.validate()
+    ds.delta_low[2] = 1.0
+    ds.delta_high[1, 1] = np.nan
+    # the first bad row, with its bad components
+    with pytest.raises(ValueError, match=r"drift bound, at row 1, components \[1\]$"):
+        ds.validate()
+    ds.v_high[2] = np.nan
+    with pytest.raises(ValueError, match=r"^v_lo > v_hi, or a non-finite noise bound, at rows \[2\]$"):
+        ds.validate()
+    ds.v_high[2] = 0.1
+    ds.v = np.array([0.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match=r"^v outside its declared bounds at rows \[1\]$"):
+        ds.validate()
+
+
 def test_delta_groups_must_come_together():
     with pytest.raises(ValueError, match="together"):
         Dataset(

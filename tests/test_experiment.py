@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import ivrls.experiment
 from ivrls import lti
 from ivrls.experiment import (
     ModeTrace,
@@ -15,10 +16,11 @@ from ivrls.experiment import (
     run_experiment,
     write_experiment,
 )
+from ivrls.intervals import IntervalVector
 from ivrls.lti import LtiIntervalEstimator
 from ivrls.simulate import REFERENCE_DRIFT_RADIUS, SimConfig, generate_lti, generate_ltv
 
-from helpers import mode_major_run_dataset, study_with_traces
+from helpers import mode_major_run_dataset, study_with_traces, vertex_oracle
 
 
 def small_config(**kwargs):
@@ -311,3 +313,80 @@ def test_run_dataset_propagates_the_history_once_per_sample(monkeypatch):
     ds = generate_lti(config, seed=config.seed)
     run_dataset(ds, config)
     assert takes == list(range(ds.N))
+
+
+def stepped_with_a_box_per_row(ds, config):
+    """Per mode, the estimates of estimators on one stage, stepped
+    sample-major with a new drift box built from every row."""
+    base = estimator_config(ds.n, config.lam, config.p0_scale, config.prior_radius,
+                            None, config.monotonic)
+    estimators = lti._on_one_stage(base, config.modes)
+    outs = [[] for _ in estimators]
+    for i in range(ds.N):
+        drift = IntervalVector(ds.delta_low[i], ds.delta_high[i])
+        for est, out in zip(estimators, outs):
+            out.append(est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift))
+    return outs
+
+
+@pytest.mark.parametrize("edited", [False, True])
+def test_run_dataset_honours_every_drift_row(edited, monkeypatch):
+    config = small_config(horizon=60, modes=(5, None), lam=0.1,
+                          drift_radius=REFERENCE_DRIFT_RADIUS)
+    ds = generate_ltv(config, seed=config.seed)
+    r = np.asarray(REFERENCE_DRIFT_RADIUS)
+    boxes = 1  # a generated drift box is the same at every row
+    if edited:
+        ds.delta_low[10:15], ds.delta_high[10:15] = -2 * r, 2 * r
+        ds.delta_high[20] = 1.5 * r  # one row, then back to the first box
+        # equal values but for the sign of a zero are another box
+        ds.delta_low[50:, 3] = 0.0
+        ds.delta_low[55, 3] = -0.0
+        boxes = 8
+    built = []
+
+    def counted(*bounds):
+        built.append(bounds)
+        return IntervalVector(*bounds)
+
+    monkeypatch.setattr(ivrls.experiment, "IntervalVector", counted)
+    traces = run_dataset(ds, config)
+    assert len(built) == boxes
+    for trace, outs in zip(traces, stepped_with_a_box_per_row(ds, config)):
+        for field, attr in (("lower", "lower"), ("upper", "upper"), ("point", "point"),
+                            ("mono_lower", "refined_lower"), ("mono_upper", "refined_upper")):
+            expected = np.stack([getattr(out, attr) for out in outs])
+            assert getattr(trace, field).tobytes() == expected.tobytes(), field
+        assert trace.inconsistent.tolist() == [int(out.inconsistent) for out in outs]
+    # and both honour each row's box: the exact hull of the affine error
+    # map, formed without the stage, and the running intersection
+    exact = traces[-1]
+    base = estimator_config(ds.n, config.lam, config.p0_scale, config.prior_radius)
+    drifts = [IntervalVector(*b) for b in zip(ds.delta_low, ds.delta_high)]
+    for t in (15, 21, ds.N):
+        box = vertex_oracle(ds.X[:t], ds.y[:t], np.c_[ds.v_low, ds.v_high][:t],
+                            base.theta_prior, base.rls, drifts[:t], method="rowsign")
+        scale = np.abs(box.upper).max() + np.abs(box.lower).max()
+        np.testing.assert_allclose(exact.lower[t - 1], box.lower, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(exact.upper[t - 1], box.upper, rtol=0, atol=1e-10 * scale)
+    lo, hi = base.theta_prior.lower, base.theta_prior.upper
+    for i in range(ds.N):
+        lo = np.maximum(lo + ds.delta_low[i], exact.lower[i])
+        hi = np.minimum(hi + ds.delta_high[i], exact.upper[i])
+        assert np.all(lo <= hi) and not exact.inconsistent[i]
+        np.testing.assert_array_equal(exact.mono_lower[i], lo)
+        np.testing.assert_array_equal(exact.mono_upper[i], hi)
+
+
+@pytest.mark.parametrize("side, row, component, value",
+                         [("delta_low", 57, 2, 1.0), ("delta_high", 90, 1, np.nan)])
+def test_a_bad_drift_row_fails_naming_its_step(side, row, component, value):
+    config = small_config(horizon=100, modes=(5, None), lam=0.1,
+                          drift_radius=REFERENCE_DRIFT_RADIUS)
+    ds = generate_ltv(config, seed=config.seed)
+    getattr(ds, side)[row, component] = value
+    with pytest.raises(ValueError, match=rf"^step {row + 1}: drift bound inversion .* "
+                                         rf"at components \[{component}\]$"):
+        run_dataset(ds, config)
+    with pytest.raises(ValueError, match=rf"at row {row}, components \[{component}\]$"):
+        ds.validate()

@@ -4,7 +4,8 @@ An outside tracer or profiler may replace these names with plain
 pass-through functions.  A study must still go through each of them, as
 often as stated here, and write the same files as without them.  Inside
 `ivrls.lti`, `IntervalVector` may be such a function, so the package
-only calls it there.
+only calls it there.  `ivrls.experiment` builds one drift box per run of
+equal drift rows, so one per drifting study run.
 """
 
 import os
@@ -17,6 +18,7 @@ from ivrls.cli import main
 
 HOOKED = (
     (ivrls.lti, "IntervalVector"),
+    (ivrls.experiment, "IntervalVector"),
     (ivrls.lti, "rls_step"),
     (ivrls.lti.LtiIntervalEstimator, "step"),
     (ivrls.experiment, "run_dataset"),
@@ -40,27 +42,30 @@ def test_studies_call_every_hooked_name_as_often_as_stated(command, modes, tmp_p
             "--workers", "1", "--write-datasets"]
     assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
 
-    counts = {name: 0 for _, name in HOOKED}
+    counts = {f"{owner.__name__}.{name}": 0 for owner, name in HOOKED}
 
-    def counting(fn, name):
+    def counting(fn, key):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[key] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
     for owner, name in HOOKED:
-        monkeypatch.setattr(owner, name, counting(getattr(owner, name), name))
+        key = f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name), key))
     assert main(argv + ["--out", str(tmp_path / "wrapped")]) == 0
     capsys.readouterr()
 
     assert counts == {
-        "run_dataset": runs,
-        "step": runs * N * modes,
-        "rls_step": runs * N,
+        "ivrls.experiment.run_dataset": runs,
+        "LtiIntervalEstimator.step": runs * N * modes,
+        "ivrls.lti.rls_step": runs * N,
         # the prior box of each run; a step builds no box objects
-        "from_center_radius": runs,
-        "IntervalVector": 0,
+        "ivrls.experiment.from_center_radius": runs,
+        "ivrls.lti.IntervalVector": 0,
+        # a generated drift box is the same at every step: one per run
+        "ivrls.experiment.IntervalVector": runs if command == "simulate-ltv" else 0,
     }
     plain = read_tree(tmp_path / "plain")
     assert len(plain) == runs + modes + 1  # datasets, averages, audit

@@ -120,6 +120,8 @@ def test_tightest_image_contains_sampled_points():
 
 
 def intersect(a, b, drift=None):
+    if drift is not None:
+        drift = drift.lower.tolist(), drift.upper.tolist()
     return _refine((a.lower, a.upper), b.lower, b.upper, drift)
 
 

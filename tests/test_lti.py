@@ -609,8 +609,8 @@ def test_refine_returns_the_carried_pair_when_nothing_is_cut():
     lo, hi = _refine(bounds, np.array([-2.0, 0.5]), np.array([2.0, 3.0]), None)
     assert lo.tolist() == [-1.0, 0.5] and hi.tolist() == [1.0, 2.0]
     assert lo is not bounds[0]
-    # with a drift box, the translated pair itself when nothing is cut
-    drift = IntervalVector([-0.5, 0.0], [0.5, 0.25])
+    # with a drift box's bound lists, the translated pair itself when nothing is cut
+    drift = ([-0.5, 0.0], [0.5, 0.25])
     lo, hi = _refine(bounds, np.array([-2.0, -1.0]), np.array([2.0, 3.0]), drift)
     assert lo.tolist() == [-1.5, 0.0] and hi.tolist() == [1.5, 2.25]
     # a raw bound equal to the carried one is taken as np.maximum and

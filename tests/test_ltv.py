@@ -81,6 +81,30 @@ def test_step_rejects_switching_drift():
     assert est.t == 2 and est._identifier.live == 2 + 2
 
 
+def test_a_refused_drifting_step_leaves_the_refinement_untranslated():
+    # a drift box offered with a refused step, the first one (bad x) or a
+    # later one (the stage is drift-less), moves no later refined box
+    drift = IntervalVector([1.0, 1.0], [2.0, 2.0])
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(6, 2)), rng.normal(size=6)
+
+    def run(refuse_at=None):
+        est = LtiIntervalEstimator(make_config(n=2, monotonic=True))
+        outs = []
+        for k in range(6):
+            if k == refuse_at:
+                with pytest.raises(ValueError):
+                    est.step([np.nan, 0.0] if k == 0 else X[k], y[k], -0.1, 0.1, drift)
+            outs.append(est.step(X[k], y[k], -0.1, 0.1))
+        return outs
+
+    expected = run()
+    for refuse_at in (0, 3):
+        for out, ref in zip(run(refuse_at), expected):
+            assert out.refined_lower.tobytes() == ref.refined_lower.tobytes()
+            assert out.refined_upper.tobytes() == ref.refined_upper.tobytes()
+
+
 def test_zero_drift_reduces_to_lti():
     # with a degenerate drift box the augmented recursion must reproduce
     # the constant-parameter estimator to roundoff
