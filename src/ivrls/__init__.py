@@ -7,7 +7,7 @@ whenever the measurement noise (and, for time-varying systems, the
 parameter drift) stays inside known bounds.
 """
 
-from .intervals import IntervalVector, from_center_radius, contains
+from .intervals import IntervalVector, from_center_radius
 from .rls import RlsConfig, RlsState, rls_init, rls_step
 from .pe import (
     PeReport,

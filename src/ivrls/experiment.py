@@ -18,11 +18,12 @@ import os
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from operator import add, sub
 
 import numpy as np
 
 from .data import Dataset, _write_table, write_estimates_csv
-from .intervals import IntervalVector, from_center_radius
+from .intervals import IntervalVector, _halves, _within, from_center_radius
 from .lti import EstimatorConfig, _on_one_stage
 from .rls import RlsConfig
 from .simulate import SimConfig, generate_lti, generate_ltv
@@ -173,26 +174,21 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
         point[i] = est_out.point  # the same for every mode: read off the shared stage
     for trace in traces:
         trace.point[:] = point
-        # the raw boxes' center and radius views, elementwise as the boxes
-        # compute them, so the same bits as reading them step by step
-        trace.center[:] = 0.5 * trace.upper + 0.5 * trace.lower
-        trace.radius[:] = 0.5 * trace.upper - 0.5 * trace.lower
+        trace.center[:] = _halves(add, trace.upper, trace.lower)
+        trace.radius[:] = _halves(sub, trace.upper, trace.lower)
     return traces
 
 
 def _audit_trace(trace: ModeTrace, truth: np.ndarray, run: int, seed: int) -> RunAudit:
-    def contained(lower, upper) -> bool:
-        s = CONTAINMENT_SLACK
-        return bool(np.all(lower - s <= truth) and np.all(truth <= upper + s))
-
+    s = CONTAINMENT_SLACK
     return RunAudit(
         run=run,
         seed=seed,
         label=trace.label,
-        raw_contained=contained(trace.lower, trace.upper),
+        raw_contained=_within(trace.lower, trace.upper, truth, s),
         refined_contained=None
         if trace.mono_lower is None
-        else contained(trace.mono_lower, trace.mono_upper),
+        else _within(trace.mono_lower, trace.mono_upper, truth, s),
         inconsistent_steps=int(trace.inconsistent.sum()),
     )
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
-__all__ = ["IntervalVector", "from_center_radius", "contains"]
+__all__ = ["IntervalVector", "from_center_radius"]
 
 
 def _vector(value, name: str) -> np.ndarray:
@@ -40,6 +41,18 @@ def _check_bounds(lo: np.ndarray, hi: np.ndarray) -> None:
                 f"bound inversion (lower > upper, or non-finite bound) at "
                 f"components {np.flatnonzero(~ok).tolist()}"
             )
+
+
+def _halves(op, upper, lower):
+    """op(upper/2, lower/2): the center (op = add) or the radius (op = sub)
+    of bounds, arrays or floats.  The one place either is computed."""
+    return op(0.5 * upper, 0.5 * lower)
+
+
+def _within(lower, upper, point, slack: float) -> bool:
+    """lower - slack <= point <= upper + slack everywhere, on arrays that
+    broadcast; no argument checks."""
+    return bool(np.all(lower - slack <= point) and np.all(point <= upper + slack))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +82,11 @@ class IntervalVector:
 
     @property
     def center(self) -> np.ndarray:
-        return 0.5 * self.upper + 0.5 * self.lower
+        return _halves(add, self.upper, self.lower)
 
     @property
     def radius(self) -> np.ndarray:
-        return 0.5 * self.upper - 0.5 * self.lower
+        return _halves(sub, self.upper, self.lower)
 
     @property
     def width(self) -> np.ndarray:
@@ -82,7 +95,16 @@ class IntervalVector:
         return self.upper - self.lower
 
     def contains(self, point, slack: float = 0.0) -> bool:
-        return contains(self, point, slack)
+        """Membership test with optional nonnegative slack on both bounds."""
+        p = _vector(point, "point")
+        if p.shape[0] != self.dim:
+            raise ValueError(
+                f"dimension mismatch: point has {p.shape[0]} components, box has "
+                f"{self.dim}"
+            )
+        if slack < 0:
+            raise ValueError(f"slack must be nonnegative, got {slack}")
+        return _within(self.lower, self.upper, p, slack)
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -103,14 +125,5 @@ def from_center_radius(center, radius) -> IntervalVector:
     return IntervalVector(c - r, c + r)
 
 
-def contains(box: IntervalVector, point, slack: float = 0.0) -> bool:
-    """Membership test with optional nonnegative slack on both bounds."""
-    p = _vector(point, "point")
-    if p.shape[0] != box.dim:
-        raise ValueError(
-            f"dimension mismatch: point has {p.shape[0]} components, box has "
-            f"{box.dim}"
-        )
-    if slack < 0:
-        raise ValueError(f"slack must be nonnegative, got {slack}")
-    return bool(np.all(box.lower - slack <= p) and np.all(p <= box.upper + slack))
+# the same membership test as a function of the box; not exported
+contains = IntervalVector.contains

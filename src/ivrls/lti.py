@@ -54,6 +54,8 @@ naming t and m.
 Every mode bounds the error of the same reference identifier, and the
 terms Phi(t,k) B(k) have no m in them: a window sums the newest m.  So
 one per-sample stage does everything without m in it: the RLS step, the
+transition A(t) = I - q(t) x(t)' (formed here from the gain and the
+regressor: the error recursion holds for whatever gain RLS computed), the
 center c(t), the term history with its absolute values (one gemm and one
 np.abs per sample, O(n^2 w) per kept term block) and the full sum.  A
 window adds O(n w m) for its sum and an amortized O(n^3) for its anchor
@@ -84,11 +86,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import add, sub
 
 import numpy as np
 
-from .intervals import IntervalVector, _check_bounds
+from .intervals import IntervalVector, _check_bounds, _halves
 from .rls import RlsConfig, RlsState, rls_init, rls_step
 
 __all__ = [
@@ -164,6 +167,14 @@ class IntervalEstimate:
         if self.refined_lower is None:
             return None
         return IntervalVector(self.refined_lower, self.refined_upper)
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _frozen(values) -> np.ndarray:
@@ -280,10 +291,11 @@ class _Identifier:
 
     Built on the RLS settings, the prior box and the windows of its
     estimators (None for exact mode).  `_take` advances it by one sample:
-    it checks the noise bounds, calls `rls_step`, computes c(t) and A(t)',
-    and propagates the term history; a drift box it checks and takes apart
-    only when a new box object arrives.  Estimators on one stage (see
-    `_on_one_stage`) read it until the next sample, `drift_bounds` too.
+    it checks the noise bounds, calls `rls_step`, forms A(t) = I - q(t) x(t)'
+    and c(t), and propagates the term history; a drift box it checks and
+    takes apart only when a new box object arrives.  Every refusal names
+    the step.  Estimators on one stage (see `_on_one_stage`) read it until
+    the next sample, `drift_bounds` too.
 
     The history holds the columns of [Phi(t,0) | Phi(t,k) B(k) ...],
     oldest term first, transposed in one of two preallocated buffers so
@@ -325,15 +337,15 @@ class _Identifier:
     def _take(self, x, y, v_low, v_high, drift) -> None:
         keep, t = self.keep, self.state.t + 1
         if keep is None and t > MAX_EXACT_HORIZON:
-            raise RuntimeError(
-                f"exact-mode horizon cap {MAX_EXACT_HORIZON} exceeded; "
+            raise ValueError(
+                f"step {t}: exact-mode horizon cap {MAX_EXACT_HORIZON} exceeded; "
                 "use a truncation window for long runs"
             )
         v_low, v_high = float(v_low), float(v_high)
         if not (math.isfinite(v_low) and math.isfinite(v_high)):
-            raise ValueError(f"noise bounds must be finite, got [{v_low}, {v_high}]")
+            raise ValueError(f"step {t}: noise bounds must be finite, got [{v_low}, {v_high}]")
         if v_low > v_high:
-            raise ValueError(f"noise bound inversion: [{v_low}, {v_high}]")
+            raise ValueError(f"step {t}: noise bound inversion: [{v_low}, {v_high}]")
         n = self.config.n
         w = 1 if drift is None else n + 1
         if self.term_width not in (None, w):
@@ -341,12 +353,19 @@ class _Identifier:
             raise ValueError(f"step {t}: drift box {given}, unlike earlier steps")
         if drift is not None and drift is not self._drift:
             if drift.dim != n:
-                raise ValueError(f"drift has {drift.dim} components, expected {n}")
+                raise ValueError(f"step {t}: drift has {drift.dim} components, expected {n}")
             self._drift, self.drift_bounds = drift, (drift.lower.tolist(), drift.upper.tolist())
             self._drift_center, self._drift_radius = drift.center, drift.radius
-        state = rls_step(self.state, x, y)
-        A, q = state.last_A, state.last_q
-        c_v = 0.5 * (v_low + v_high)
+        try:
+            x = np.asarray(x, dtype=float)
+            state = rls_step(self.state, x, y)
+        except ValueError as exc:
+            raise ValueError(f"step {t}: {exc}") from None
+        q = state.last_q
+        # I - q x', not -(q x') with 1 added on the diagonal: negating would
+        # turn the zeros an FIR regressor leaves in q x' into -0.0
+        A = _identity(n) - np.multiply.outer(q, x)
+        c_v, r_v = _halves(add, v_high, v_low), _halves(sub, v_high, v_low)
         center = np.dot(A, self.center) + q * (float(y) - c_v)
         At = A.T.copy()  # C-contiguous: gemm with a transposed operand is slower
         k, first = self.live, 0
@@ -362,7 +381,7 @@ class _Identifier:
             radii[n:k] = radii[n + w : k + w]
         # this step's block B(t)' = [q | -A]' and its radii (r_v, r_delta)
         new[k] = q
-        self.radii[k] = 0.5 * (v_high - v_low)
+        self.radii[k] = r_v
         if drift is not None:
             center = center + np.dot(A, self._drift_center)
             np.negative(At, out=new[k + 1 : k + w])
@@ -391,18 +410,21 @@ class LtiIntervalEstimator:
     def __init__(self, config: EstimatorConfig):
         self.config = config
         self._identifier = _Identifier(config.rls, config.theta_prior, (config.m,))
-        self._rls_state = self._identifier.state
+        self._t = 0
         self._engine = _RadiusRecursion(config.rls.n, config.m)
         self._mono = (config.theta_prior.lower, config.theta_prior.upper)
         self._inconsistent = False
 
     @property
     def t(self) -> int:
-        return self._rls_state.t
+        """The number of samples this estimator has taken."""
+        return self._t
 
     @property
     def rls_state(self) -> RlsState:
-        return self._rls_state
+        """The identifier's state after the newest sample its stage took,
+        which on a shared stage another mode may have taken first."""
+        return self._identifier.state
 
     @property
     def inconsistent(self) -> bool:
@@ -416,13 +438,13 @@ class LtiIntervalEstimator:
         drift, when given, bounds the increment theta(t) - theta(t-1).
         """
         monotonic = self.config.monotonic
-        t = self._rls_state.t
+        t = self._t
         stage = self._identifier
         # the first estimator on the stage to take this sample advances it;
         # the others find it one step ahead and read it
         if stage.state.t == t:
             stage._take(x, y, v_low, v_high, drift)
-        self._rls_state = stage.state
+        self._t = t + 1
         radius = self._engine.step(stage)
         lower = stage.center - radius
         upper = stage.center + radius
@@ -459,5 +481,5 @@ def _on_one_stage(base: EstimatorConfig, modes) -> list[LtiIntervalEstimator]:
     estimators = [LtiIntervalEstimator(replace(base, m=m)) for m in modes]
     stage = _Identifier(base.rls, base.theta_prior, [est.config.m for est in estimators])
     for est in estimators:
-        est._identifier, est._rls_state = stage, stage.state
+        est._identifier = stage
     return estimators

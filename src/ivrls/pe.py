@@ -345,18 +345,12 @@ def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeRep
         mstar = m_star(n, gamma1, gamma2, lam)
         qbound = eta_q_bound(gamma1, gamma2, lam, h_min, h_max)
         if math.isnan(eta_v):
-            b_inf = nan
-            b_inf_bound = nan
+            b_inf = b_inf_bound = nan
         else:
-            _, b_inf = asymptotic_radius_bound(c, rho, eta_q, eta_v, math.ceil(mstar) + 1)
-            b_inf_bound = (
-                eta_v
-                * math.sqrt(n)
-                / (1.0 - math.sqrt(lam))
-                * (gamma2 / gamma1) ** 1.5
-                * h_max
-                / (h_min**2 + lam * gamma2)
-            )
+            # the same b_inf_star formula, with the observed and the worst-case gain
+            m = math.ceil(mstar) + 1
+            _, b_inf = asymptotic_radius_bound(c, rho, eta_q, eta_v, m)
+            _, b_inf_bound = asymptotic_radius_bound(c, rho, qbound, eta_v, m)
     else:
         gamma1 = gamma2 = delta1 = delta2 = nan
         c = rho = mstar = qbound = b_inf = b_inf_bound = nan

@@ -9,11 +9,11 @@ machinery bounds.  Each step with regressor x(t) and output y(t) does
 
 with theta(0) and P(0) from the configuration.  P is re-symmetrized
 after every update; the rank-one form otherwise drifts off symmetric in
-floating point.  The transition factor of the estimation-error
-recursion, A(t) = I - q(t) x(t)', is kept on the state because the
-interval estimators consume it.  In information form the update reads
-P^{-1}(t) = lam P^{-1}(t-1) + x(t) x(t)', which is what the excitation
-diagnostics reason about.
+floating point.  A state carries what RLS itself computes: theta, P
+and the latest gain q.  The interval estimators form the transition
+factor A(t) = I - q(t) x(t)' of the estimation error from q and x.  In
+information form the update reads P^{-1}(t) = lam P^{-1}(t-1) + x(t) x(t)',
+which is what the excitation diagnostics reason about.
 
 States are immutable; `rls_step` returns a new state.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,8 +88,7 @@ class RlsConfig:
 class RlsState:
     """Identifier state after t steps.
 
-    last_q and last_A are the gain and error-transition factor of the
-    most recent step (zero gain and identity at t = 0).
+    last_q is the gain of the most recent step (zero at t = 0).
     """
 
     config: RlsConfig
@@ -98,31 +96,15 @@ class RlsState:
     theta: np.ndarray
     P: np.ndarray
     last_q: np.ndarray
-    last_A: np.ndarray
 
-    def __init__(self, config, t, theta, P, last_q, last_A):
+    def __init__(self, config, t, theta, P, last_q):
         # one dict update, not the generated __init__'s object.__setattr__ per field
-        self.__dict__.update(config=config, t=t, theta=theta, P=P, last_q=last_q, last_A=last_A)
+        self.__dict__.update(config=config, t=t, theta=theta, P=P, last_q=last_q)
 
 
 def rls_init(config: RlsConfig) -> RlsState:
-    n = config.n
-    return RlsState(
-        config=config,
-        t=0,
-        theta=config.theta0.copy(),
-        P=config.P0.copy(),
-        last_q=np.zeros(n),
-        last_A=np.eye(n),
-    )
-
-
-@lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    """The n x n identity, built once per n and read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+    return RlsState(config=config, t=0, theta=config.theta0.copy(), P=config.P0.copy(),
+                    last_q=np.zeros(config.n))
 
 
 def _gain_update(P: np.ndarray, x: np.ndarray, lam: float, t: int):
@@ -157,14 +139,4 @@ def rls_step(state: RlsState, x, y: float) -> RlsState:
 
     q, P = _gain_update(state.P, x, state.config.lam, state.t + 1)
     theta = state.theta + q * (y - np.dot(x, state.theta))
-    # I - q x', not -(q x') with 1 added on the diagonal: negating would
-    # turn the zeros an FIR regressor leaves in q x' into -0.0
-    A = _identity(n) - np.multiply.outer(q, x)
-    return RlsState(
-        config=state.config,
-        t=state.t + 1,
-        theta=theta,
-        P=P,
-        last_q=q,
-        last_A=A,
-    )
+    return RlsState(config=state.config, t=state.t + 1, theta=theta, P=P, last_q=q)

@@ -89,9 +89,11 @@ class SimConfig:
         modes = tuple(None if m is None else int(m) for m in self.modes)
         if not modes:
             raise ValueError("modes must not be empty")
-        for m in modes:
+        for i, m in enumerate(modes):
             if m is not None and m < 1:
                 raise ValueError(f"truncation window must be >= 1, got {m}")
+            if m in modes[:i]:  # its output file would be written twice
+                raise ValueError(f"mode {'exact' if m is None else m} is given more than once")
         object.__setattr__(self, "modes", modes)
         if self.drift_radius is not None:
             dr = tuple(float(v) for v in self.drift_radius)

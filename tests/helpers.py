@@ -82,7 +82,7 @@ def collect_run(config, X, y):
         state = rls_step(state, X[k], y[k])
         thetas.append(state.theta)
         Ps.append(state.P)
-        As.append(state.last_A)
+        As.append(np.eye(config.n) - np.outer(state.last_q, X[k]))
         qs.append(state.last_q)
     return thetas, Ps, As, qs
 

@@ -157,6 +157,41 @@ def test_estimate_subcommand(tmp_path, capsys):
     assert "raw=True" in capsys.readouterr().out
 
 
+def test_estimate_without_true_trajectory_skips_the_audit(tmp_path, capsys):
+    ds = generate_lti(SimConfig(horizon=30), seed=5)
+    ds.theta_true = None
+    ds_path = tmp_path / "ds.csv"
+    ds.to_csv(ds_path)
+    assert "theta" not in ds_path.read_text().splitlines()[0]
+    out = tmp_path / "est"
+    assert main(["estimate", "--in", str(ds_path), "--out", str(out), "--m", "10"]) == 0
+    assert "no true trajectory in input; containment not audited" in capsys.readouterr().out
+    assert "audit" not in (out / "estimates.csv").read_text()
+
+
+def test_exact_horizon_cap_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    from ivrls import lti
+
+    monkeypatch.setattr(lti, "MAX_EXACT_HORIZON", 30)
+    rc = main(["simulate-lti", "--seed", "0", "--out", str(tmp_path / "o"), "--runs", "1",
+               "--horizon", "40", "--modes", "exact"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: step 31: exact-mode horizon cap 30 exceeded; "
+        "use a truncation window for long runs\n"
+    )
+
+
+@pytest.mark.parametrize("modes, shown", [("20,20,exact", "20"), ("exact,5,exact", "exact")])
+def test_repeated_modes_are_refused(modes, shown, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["simulate-lti", "--seed", "0", "--out", str(out), "--runs", "2",
+               "--horizon", "20", "--modes", modes])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: mode {shown} is given more than once\n"
+    assert not out.exists()
+
+
 def test_estimate_rejects_bad_dataset(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,y,x_1,v_lo,v_hi\n1,0,0,0.3,-0.3\n")

@@ -390,3 +390,17 @@ def test_a_bad_drift_row_fails_naming_its_step(side, row, component, value):
         run_dataset(ds, config)
     with pytest.raises(ValueError, match=rf"at row {row}, components \[{component}\]$"):
         ds.validate()
+
+
+@pytest.mark.parametrize("column, index, value, cause", [
+    ("v_low", 57, 1.0, r"noise bound inversion: \[1\.0, 0\.2\]"),
+    ("X", (57, 1), np.nan, "x must be finite"),
+    ("y", 57, np.inf, "y must be finite, got inf"),
+])
+def test_a_bad_sample_fails_naming_its_step(column, index, value, cause):
+    config = small_config(horizon=100, modes=(5, None), lam=0.1,
+                          drift_radius=REFERENCE_DRIFT_RADIUS)
+    ds = generate_ltv(config, seed=config.seed)
+    getattr(ds, column)[index] = value
+    with pytest.raises(ValueError, match=rf"^step 58: {cause}$"):
+        run_dataset(ds, config)

@@ -63,7 +63,8 @@ def test_one_step_radius_formula():
     x = np.array([1.0, -0.5])
     out = est.step(x, 0.7, -0.3, 0.1)
     state = est.rls_state
-    expected = np.abs(state.last_A) @ np.full(2, 2.0) + np.abs(state.last_q) * 0.2
+    A = np.eye(2) - np.outer(state.last_q, x)
+    expected = np.abs(A) @ np.full(2, 2.0) + np.abs(state.last_q) * 0.2
     np.testing.assert_allclose(out.raw.radius, expected, rtol=1e-14)
     np.testing.assert_allclose(out.raw.center, est._identifier.center)
     assert out.t == 1 and not out.inconsistent and out.refined is None
@@ -256,7 +257,7 @@ def test_anchor_matches_brute_force_product(m, drifting):
     As = []
     for i in range(ds.N):
         est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
-        As.append(est.rls_state.last_A)
+        As.append(stage.At.T.copy())  # the stage keeps A(t) transposed
         t = i + 1
         if t <= m:  # the stage's Phi(t,0), which the full sum reads
             np.testing.assert_allclose(
@@ -284,7 +285,7 @@ def test_exact_horizon_guard(monkeypatch):
     rng = np.random.default_rng(0)
     for _ in range(5):
         est.step(rng.normal(size=2), 0.0, -0.1, 0.1)
-    with pytest.raises(RuntimeError, match="horizon cap"):
+    with pytest.raises(ValueError, match="horizon cap"):
         est.step(rng.normal(size=2), 0.0, -0.1, 0.1)
 
 
@@ -296,7 +297,7 @@ def test_exact_horizon_refusal_changes_no_state(monkeypatch):
         est.step(rng.normal(size=2), 0.0, -0.1, 0.1)
     state, center = est.rls_state, est._identifier.center
     for _ in range(2):
-        with pytest.raises(RuntimeError, match="horizon cap 3"):
+        with pytest.raises(ValueError, match="horizon cap 3"):
             est.step(rng.normal(size=2), 1.0, -0.1, 0.1)
         assert est.t == 3 and est._identifier.live == 2 + 3 and est.rls_state is state
         assert est._identifier.center is center
@@ -419,7 +420,7 @@ def test_every_mode_on_one_stage_matches_a_brute_force_radius(modes, drifting, m
         drift = IntervalVector(ds.delta_low[i], ds.delta_high[i]) if drifting else None
         for est in ests:
             est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
-        A, q = ests[0].rls_state.last_A, ests[0].rls_state.last_q
+        A, q = ests[0]._identifier.At.T.copy(), ests[0].rls_state.last_q
         B, r_w = q[:, None], np.array([0.5 * (ds.v_high[i] - ds.v_low[i])])
         if drifting:
             B, r_w = np.hstack([B, -A]), np.concatenate([r_w, drift.radius])
@@ -468,7 +469,7 @@ def test_exact_horizon_refusal_on_a_shared_stage_changes_no_mode(monkeypatch):
     # the stage keeps the full history for exact mode, so it refuses the
     # sample whichever mode steps first
     for est in ests + ests[::-1]:
-        with pytest.raises(RuntimeError, match="horizon cap 3"):
+        with pytest.raises(ValueError, match="horizon cap 3"):
             est.step(rng.normal(size=2), 1.0, -0.1, 0.1)
         assert est.t == 3 and est.rls_state is state
     assert stage.state is state and stage.center is center and stage.live == 2 + 3
@@ -495,10 +496,11 @@ def test_shared_identifier_steps_rls_once_per_sample(monkeypatch):
         for est in ests:
             est.step(x, y, -0.1, 0.1)
     assert calls == [0, 1, 2, 3, 4]
-    # a follower that has not stepped yet still sees its own state
+    # a follower that has not stepped yet counts its own samples; its
+    # rls_state is the stage's, which the lead has advanced
     lead, follow = shared_estimators(rls, (1, None))
     lead.step([1.0, 0.0], 0.5, -0.1, 0.1)
-    assert lead.t == 1 and follow.t == 0 and follow.rls_state.t == 0
+    assert lead.t == 1 and follow.t == 0 and follow.rls_state.t == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -628,6 +630,18 @@ def test_step_checks_the_raw_box_contract():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match=r"non-finite bound\) at components \[0\]"):
             est.step([0.0], 0.0, -0.1, 0.1, drift)
+
+
+@pytest.mark.parametrize("monotonic", [False, True])
+def test_noise_near_dbl_max_reaches_the_box_contract(monotonic):
+    # the noise interval [-1.5e308, 1.5e308] has a finite radius, so the
+    # radius stays finite while the upper bound passes DBL_MAX; the
+    # monotonic step checks it in its refinement pass
+    est = LtiIntervalEstimator(make_config(n=1, monotonic=monotonic))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=r"non-finite bound\) at components \[0\]"):
+            est.step([1.0], 1.5e308, -1.5e308, 1.5e308)
+    assert np.isfinite(est._identifier.full).all() and est._identifier.radii[1] == 1.5e308
 
 
 def test_standalone_estimator_is_a_stage_of_one():

@@ -243,6 +243,28 @@ def test_analyze_without_excitation_reports_nan():
     assert "is_pe=false" in report.to_kv_text()
 
 
+def test_analyze_b_inf_fields_come_from_the_asymptotic_bound():
+    ds = generate_lti(SimConfig(horizon=300, seed=4), seed=4)
+    P0 = 1000.0 * np.eye(4)
+    # without a noise level neither bound can be certified
+    report = analyze(ds.X, lam=0.99, P0=P0)
+    assert report.is_pe and math.isnan(report.eta_v)
+    assert math.isnan(report.b_inf_star) and math.isnan(report.b_inf_star_bound)
+    # with one, both are b_inf_star of the same window, for the observed
+    # and the worst-case gain norm
+    report = analyze(ds.X, lam=0.99, P0=P0, noise_radius=0.2)
+    m = math.ceil(report.m_star) + 1
+    for eta_q, field in ((report.eta_q, report.b_inf_star),
+                         (report.eta_q_bound, report.b_inf_star_bound)):
+        assert field == asymptotic_radius_bound(report.c, report.rho, eta_q, 0.2, m)[1]
+    # the closed form c eta_q_bound eta_v / (1 - rho), multiplied out
+    g1, g2, lam = report.gamma1, report.gamma2, 0.99
+    closed = (0.2 * math.sqrt(4) / (1.0 - math.sqrt(lam)) * (g2 / g1) ** 1.5 * report.h_max
+              / (report.h_min**2 + lam * g2))
+    assert report.b_inf_star_bound == pytest.approx(closed, rel=1e-14, abs=0)
+    assert report.b_inf_star <= report.b_inf_star_bound
+
+
 def test_analyze_gain_norms_match_the_full_identifier_replay():
     # the covariance-only replay gives the same gains, bit for bit, as the
     # full identifier driven by the real outputs

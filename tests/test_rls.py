@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ivrls.intervals import from_center_radius
-from ivrls.lti import _Identifier
-from ivrls.rls import RlsConfig, _identity, rls_init, rls_step
+from ivrls.lti import _Identifier, _identity
+from ivrls.rls import RlsConfig, rls_init, rls_step
 
 from helpers import batch_rls, collect_run, random_spd
 
@@ -43,7 +43,7 @@ def test_scalar_hand_step():
     np.testing.assert_allclose(state.last_q, [0.5])
     np.testing.assert_allclose(state.theta, [1.0])
     np.testing.assert_allclose(state.P, [[0.5]])
-    np.testing.assert_allclose(state.last_A, [[0.5]])
+    np.testing.assert_allclose(np.eye(1) - np.outer(state.last_q, [1.0]), [[0.5]])
 
 
 def test_zero_regressor_only_rescales_p():
@@ -52,7 +52,7 @@ def test_zero_regressor_only_rescales_p():
     np.testing.assert_array_equal(state.last_q, np.zeros(2))
     np.testing.assert_array_equal(state.theta, config.theta0)
     np.testing.assert_allclose(state.P, 4.0 * np.eye(2))
-    np.testing.assert_array_equal(state.last_A, np.eye(2))
+    np.testing.assert_array_equal(np.eye(2) - np.outer(state.last_q, np.zeros(2)), np.eye(2))
 
 
 def test_noise_free_fixed_point():
@@ -194,19 +194,18 @@ def test_transition_and_covariance_bit_equal_to_outer_products():
         expected_P = 0.5 * (expected_P + expected_P.T)
         assert q.tobytes() == (Px / (config.lam + x @ Px)).tobytes()
         assert state.theta.tobytes() == (prev.theta + q * (y - x @ prev.theta)).tobytes()
-        assert state.last_A.tobytes() == expected_A.tobytes()
         assert state.P.tobytes() == expected_P.tobytes()
-        zeros = state.last_A == 0.0
-        assert zeros.any() == (t < 4) and not np.signbit(state.last_A[zeros]).any()
         for box, stage in stages:
             c = stage.center
             stage._take(x, y, v_low, v_high, box)
-            A = stage.state.last_A
+            A = stage.At.T.copy()  # the stage keeps A(t) transposed; C order, as it multiplies
             assert A.tobytes() == expected_A.tobytes()
+            zeros = A == 0.0
+            assert zeros.any() == (t < 4) and not np.signbit(A[zeros]).any()
             expected_c = A @ c + q * (y - 0.5 * (v_low + v_high))
             if box is not None:
                 expected_c = expected_c + A @ box.center
             assert stage.center.tobytes() == expected_c.tobytes()
     # the cached identity is shared, read-only and never handed out
     assert _identity(4) is _identity(4) and not _identity(4).flags.writeable
-    assert state.last_A.flags.writeable
+    assert all(not np.shares_memory(stage.At, _identity(4)) for _, stage in stages)
