@@ -8,6 +8,11 @@ bounds near +-DBL_MAX included.  Halving is exact in the normal range,
 so there they equal (upper +- lower)/2 bit for bit.  All operations are
 pure and never mutate their inputs, and the stored arrays are marked
 read-only so instances can be shared freely.
+
+`IntervalVector(lower, upper)` copies and checks its bounds.  `_box_view`
+wraps bounds that a caller has already made read-only and checked, as
+they are: an estimator step checks its bounds once, in the pass that
+refines them, and its boxes are views of those arrays.
 """
 
 from __future__ import annotations
@@ -111,6 +116,17 @@ class IntervalVector:
             f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.lower, self.upper)
         )
         return f"IntervalVector({pairs})"
+
+
+def _box_view(lower: np.ndarray, upper: np.ndarray) -> IntervalVector:
+    """The box of `lower` and `upper`, sharing them: no copy and no check.
+
+    The caller vouches for the box contract: two read-only 1-d float
+    arrays of one shape, every bound finite and lower <= upper.
+    """
+    box = object.__new__(IntervalVector)
+    box.__dict__.update(lower=lower, upper=upper)
+    return box
 
 
 def from_center_radius(center, radius) -> IntervalVector:

@@ -64,7 +64,8 @@ study builds every mode of a run on one stage and steps them sample-major.
 
 An estimate carries its bounds as read-only arrays, checked against the
 box contract by the step's one pass over them, which also refines them;
-the IntervalVector views `raw` and `refined` are built on first read.
+its IntervalVector boxes `raw` and `refined` are built on first read as
+views of those arrays, without a second copy or check.
 
 An optional monotonic post-processor intersects each instantaneous box
 with the running one.  A constant parameter lies in all of them; a
@@ -86,12 +87,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, sub
 
 import numpy as np
 
-from .intervals import IntervalVector, _check_bounds, _halves
+from .intervals import IntervalVector, _box_view, _check_bounds, _halves
 from .rls import RlsConfig, RlsState, rls_init, rls_step
 
 __all__ = [
@@ -133,6 +134,37 @@ class EstimatorConfig:
             object.__setattr__(self, "m", m)
 
 
+class _Box:
+    """An estimate's box of the bounds named `lower` and `upper`, None when
+    they are.  Built on first read and stored in the estimate's own dict,
+    where later reads find it without calling this descriptor; no lock, so
+    two threads reading at once may each build one of the same bounds.
+
+    An estimate that a step made (`_checked` set) gets a `_box_view` of
+    its bounds, which the step checked; any other gets a checked copy.
+    """
+
+    def __init__(self, lower: str, upper: str):
+        self.lower, self.upper = lower, upper
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, est, owner=None):
+        if est is None:
+            return self
+        fields = est.__dict__
+        lower = fields[self.lower]
+        if lower is None:
+            box = None
+        elif "_checked" in fields:
+            box = _box_view(lower, fields[self.upper])
+        else:
+            box = IntervalVector(lower, fields[self.upper])
+        fields[self.name] = box
+        return box
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class IntervalEstimate:
     """One time step of estimator output.
@@ -143,7 +175,10 @@ class IntervalEstimate:
     consistent box and stay flagged.  The arrays are read-only and may be
     shared with other estimates: refined bounds are the same arrays for
     as long as they do not change.  raw and refined are the same bounds
-    as IntervalVector boxes, built on first read.
+    as IntervalVector boxes, built on first read.  The boxes of a step's
+    estimate are views of its arrays, which the step checked once; an
+    estimate from this constructor or `dataclasses.replace` gets boxes
+    that copy and check its bounds.
     """
 
     t: int
@@ -158,15 +193,8 @@ class IntervalEstimate:
         self.__dict__.update(t=t, point=point, lower=lower, upper=upper, inconsistent=inconsistent,
                              refined_lower=refined_lower, refined_upper=refined_upper)
 
-    @cached_property
-    def raw(self):
-        return IntervalVector(self.lower, self.upper)
-
-    @cached_property
-    def refined(self):
-        if self.refined_lower is None:
-            return None
-        return IntervalVector(self.refined_lower, self.refined_upper)
+    raw = _Box("lower", "upper")
+    refined = _Box("refined_lower", "refined_upper")
 
 
 @lru_cache(maxsize=None)
@@ -450,18 +478,23 @@ class LtiIntervalEstimator:
         upper = stage.center + radius
         lower.setflags(write=False)
         upper.setflags(write=False)
-        if monotonic and not self._inconsistent:
-            drift = None if drift is None else stage.drift_bounds
-            bounds = _refine(self._mono, lower, upper, drift)
-            self._inconsistent = bounds is None
-            self._mono = bounds or self._mono
-        else:
-            _check_bounds(lower, upper)
+        try:
+            if monotonic and not self._inconsistent:
+                drift = None if drift is None else stage.drift_bounds
+                bounds = _refine(self._mono, lower, upper, drift)
+                self._inconsistent = bounds is None
+                self._mono = bounds or self._mono
+            else:
+                _check_bounds(lower, upper)
+        except ValueError as exc:
+            raise ValueError(f"step {t + 1}: {exc}") from None
         refined_lower, refined_upper = self._mono if monotonic else (None, None)
-        return IntervalEstimate(
-            t + 1, stage.point, lower, upper, refined_lower, refined_upper,
-            self._inconsistent,
-        )
+        # what IntervalEstimate(...) builds, plus the flag for view boxes
+        out = object.__new__(IntervalEstimate)
+        out.__dict__.update(t=t + 1, point=stage.point, lower=lower, upper=upper,
+                            refined_lower=refined_lower, refined_upper=refined_upper,
+                            inconsistent=self._inconsistent, _checked=True)
+        return out
 
 
 def _on_one_stage(base: EstimatorConfig, modes) -> list[LtiIntervalEstimator]:

@@ -80,18 +80,20 @@ def pe_levels(X, T: int) -> tuple[float, float]:
         raise ValueError(f"need at least T={T} regressors, got {N}")
     n = X.shape[1]
     starts = N - T + 1
-    # Each window's Gram is W'W, computed as on its own so its bits do not
-    # change; eigvalsh then takes a fixed-size chunk of them per call, so
-    # memory stays flat however long X is.
+    # Each window's Gram is W'W, with the bits of W.T @ W on its own: a
+    # batched matmul of the window views W' (n x T, no copy) with their
+    # transposes takes the same kernel per window.  One fixed-size chunk
+    # of Grams per matmul and eigvalsh call keeps memory flat however long
+    # X is.
+    windows = np.lib.stride_tricks.sliding_window_view(X, T, axis=0)
     chunk = max(1, _GRAM_CHUNK_ENTRIES // max(1, n * n))
     grams = np.empty((min(chunk, starts), n, n))
     alpha = math.inf
     beta = 0.0
     for first in range(0, starts, chunk):
         count = min(chunk, starts - first)
-        for j in range(count):
-            W = X[first + j : first + j + T]
-            np.matmul(W.T, W, out=grams[j])
+        Wt = windows[first : first + count]
+        np.matmul(Wt, Wt.transpose(0, 2, 1), out=grams[:count])
         eigs = np.linalg.eigvalsh(grams[:count])
         # builtin min and max from the running value: the same comparisons,
         # in the same order, as one window at a time (a nan is skipped)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ivrls import lti
-from ivrls.intervals import IntervalVector, from_center_radius
+from ivrls.intervals import IntervalVector, _box_view, _check_bounds, from_center_radius
 from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, _on_one_stage, _refine
 from ivrls.rls import RlsConfig
 from ivrls.simulate import (
@@ -578,14 +578,78 @@ def test_reading_a_box_calls_the_module_level_interval_vector(monkeypatch):
 
     def counted(lower, upper):
         made.append(1)
-        return IntervalVector(lower, upper)
+        return _box_view(lower, upper)
 
     est = LtiIntervalEstimator(make_config(n=2, monotonic=True))
-    monkeypatch.setattr(lti, "IntervalVector", counted)
+    monkeypatch.setattr(lti, "_box_view", counted)
     out = est.step([1.0, 0.5], 0.2, -0.1, 0.1)
     assert made == []
     assert out.raw is out.raw and out.refined is out.refined
     assert made == [1, 1]
+
+
+def stepped_estimates(monotonic, drifting):
+    """Every estimate of one run, with none of its boxes read yet."""
+    lam = 0.1 if drifting else 0.99
+    config = SimConfig(horizon=60, seed=33, lam=lam,
+                       drift_radius=REFERENCE_DRIFT_RADIUS if drifting else None)
+    ds = generate_ltv(config, seed=33) if drifting else generate_lti(config, seed=33)
+    est = LtiIntervalEstimator(make_config(lam=lam, m=7, monotonic=monotonic))
+    drift = IntervalVector(ds.delta_low[0], ds.delta_high[0]) if drifting else None
+    return [est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
+            for i in range(ds.N)]
+
+
+@pytest.mark.parametrize("drifting", [False, True])
+@pytest.mark.parametrize("monotonic", [False, True])
+def test_boxes_of_a_step_are_views_of_its_checked_bounds(monotonic, drifting):
+    for out in stepped_estimates(monotonic, drifting):
+        pairs = [(out.raw, out.lower, out.upper)]
+        if monotonic:
+            pairs.append((out.refined, out.refined_lower, out.refined_upper))
+        else:
+            assert out.refined is None and vars(out)["refined"] is None
+        for box, lower, upper in pairs:
+            assert type(box) is IntervalVector
+            assert box.lower is lower and box.upper is upper
+            assert not box.lower.flags.writeable and not box.upper.flags.writeable
+            _check_bounds(box.lower, box.upper)
+        assert vars(out)["raw"] is out.raw
+
+
+@pytest.mark.parametrize("drifting", [False, True])
+@pytest.mark.parametrize("monotonic", [False, True])
+def test_boxes_of_other_estimates_copy_and_check_their_bounds(monotonic, drifting):
+    for out in stepped_estimates(monotonic, drifting)[::10]:
+        fields = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
+        writeable = dict(fields)
+        for name in ("lower", "upper", "refined_lower", "refined_upper"):
+            if fields[name] is not None:
+                writeable[name] = fields[name].copy()
+        for other in (dataclasses.replace(out), lti.IntervalEstimate(**fields),
+                      lti.IntervalEstimate(**writeable)):
+            pairs = [(other.raw, other.lower, other.upper)]
+            if monotonic:
+                pairs.append((other.refined, other.refined_lower, other.refined_upper))
+            else:
+                assert other.refined is None
+            for box, lower, upper in pairs:
+                assert box.lower is not lower and box.upper is not upper
+                assert box.lower.tobytes() == lower.tobytes()
+                assert box.upper.tobytes() == upper.tobytes()
+                assert not box.lower.flags.writeable and not box.upper.flags.writeable
+            assert vars(other)["raw"] is other.raw
+        # the box of writeable bounds is a copy that later writes leave alone
+        box = lti.IntervalEstimate(**writeable).raw
+        writeable["lower"][0] -= 1.0
+        assert box.lower.tobytes() == out.lower.tobytes()
+        inverted = dataclasses.replace(out, lower=out.upper + 1.0)
+        with pytest.raises(ValueError, match="bound inversion"):
+            inverted.raw
+        if monotonic:
+            inverted = dataclasses.replace(out, refined_upper=out.refined_lower - 1.0)
+            with pytest.raises(ValueError, match="bound inversion"):
+                inverted.refined
 
 
 def test_refined_arrays_are_shared_while_unchanged():
@@ -628,7 +692,7 @@ def test_step_checks_the_raw_box_contract():
     drift = IntervalVector([1e308], [1e308])
     est.step([0.0], 0.0, -0.1, 0.1, drift)
     with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match=r"non-finite bound\) at components \[0\]"):
+        with pytest.raises(ValueError, match=r"^step 2: .*non-finite bound\) at components \[0\]"):
             est.step([0.0], 0.0, -0.1, 0.1, drift)
 
 
@@ -639,7 +703,7 @@ def test_noise_near_dbl_max_reaches_the_box_contract(monotonic):
     # monotonic step checks it in its refinement pass
     est = LtiIntervalEstimator(make_config(n=1, monotonic=monotonic))
     with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match=r"non-finite bound\) at components \[0\]"):
+        with pytest.raises(ValueError, match=r"^step 1: .*non-finite bound\) at components \[0\]"):
             est.step([1.0], 1.5e308, -1.5e308, 1.5e308)
     assert np.isfinite(est._identifier.full).all() and est._identifier.radii[1] == 1.5e308
 

@@ -60,7 +60,11 @@ def test_pe_levels_bit_equal_to_the_window_loop(T, chunk_windows, monkeypatch):
         monkeypatch.setattr(pe, "_GRAM_CHUNK_ENTRIES", chunk_windows * 16)
     X = generate_lti(SimConfig(horizon=300, seed=27), seed=27).X
     X[-1] *= 10.0  # the largest level sits in the last window
-    assert np.array(pe_levels(X, T)).tobytes() == np.array(window_loop_levels(X, T)).tobytes()
+    # the batched product reads X as laid out, without a contiguous copy:
+    # Fortran order and reversed columns keep the window loop's bits too
+    for layout in (X, np.asfortranarray(X), X[:, ::-1]):
+        levels = np.array(pe_levels(layout, T)).tobytes()
+        assert levels == np.array(window_loop_levels(layout, T)).tobytes()
 
 
 def test_pe_levels_and_gamma_bounds_reject_non_finite_regressors():
