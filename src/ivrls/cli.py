@@ -19,12 +19,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _write_table
 from .experiment import (
     estimate_from_csv,
     lambda_sweep,
@@ -32,7 +32,7 @@ from .experiment import (
     write_experiment,
 )
 from .pe import analyze
-from .simulate import REFERENCE_DRIFT_RADIUS, SimConfig
+from .simulate import REFERENCE_LTV, SimConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -69,25 +69,12 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-# Every SimConfig field except the per-run seed and the drift fields,
-# which only simulate-ltv accepts.
-_SIM_DEFAULTS = {
-    f.name: f.default
-    for f in fields(SimConfig)
-    if f.name not in ("seed", "drift_radius", "drift_period")
-}
-
-_LTV_OVERRIDES = {
-    "lam": 0.1,
-    "modes": (5, None),
-    "drift_radius": REFERENCE_DRIFT_RADIUS,
-    "drift_period": SimConfig.drift_period,
-}
-
-
 def _defaults(ltv: bool) -> dict:
-    """The settings a study of either plant starts from."""
-    return {**_SIM_DEFAULTS, **_LTV_OVERRIDES} if ltv else dict(_SIM_DEFAULTS)
+    """Every setting of the reference study of either plant but the seed;
+    only the drifting one has the drift settings."""
+    drift = ("drift_radius", "drift_period")
+    study = asdict(REFERENCE_LTV if ltv else SimConfig())
+    return {k: v for k, v in study.items() if k != "seed" and (ltv or k not in drift)}
 
 
 def _show(value) -> str:
@@ -137,23 +124,22 @@ def _add_sim_arguments(sub: argparse.ArgumentParser, ltv: bool) -> None:
     _add_settings(sub, defaults, defaults, suppress=True)
 
 
-def _effective_config(args, parser: argparse.ArgumentParser, ltv: bool) -> SimConfig:
+def _effective_config(args, ltv: bool) -> SimConfig:
     """SimConfig from defaults, then the --config file, then explicit flags.
 
-    File values are converted by the `type` of the flag with the same
-    destination, so the file and the command line accept the same text.
+    File values are converted by the type of the flag of the same key, so
+    the file and the command line accept the same text.
     """
     defaults = _defaults(ltv)
     effective = dict(defaults)
     if getattr(args, "config", None):
-        types = {action.dest: action.type for action in parser._actions}
         for key, raw in _read_config_file(args.config).items():
             if key not in defaults:
                 raise ValueError(
                     f"unknown config key '{key}' (valid: {', '.join(sorted(defaults))})"
                 )
             try:
-                effective[key] = types[key](raw)
+                effective[key] = _FLAGS[key][1](raw)
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise ValueError(f"{args.config}: {key}: {exc}") from exc
     for key in defaults:
@@ -176,8 +162,8 @@ def _read_config_file(path) -> dict:
     return data
 
 
-def _cmd_simulate(args, parser, ltv: bool) -> int:
-    config = _effective_config(args, parser, ltv)
+def _cmd_simulate(args, ltv: bool) -> int:
+    config = _effective_config(args, ltv)
     os.makedirs(args.out, exist_ok=True)
     result = run_experiment(config, dataset_dir=args.out if args.write_datasets else None)
     paths = write_experiment(result, args.out)
@@ -231,16 +217,18 @@ def _cmd_analyze_pe(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     txt_path = os.path.join(args.out, "pe_report.txt")
     csv_path = os.path.join(args.out, "pe_report.csv")
-    for path, text in ((txt_path, report.to_kv_text()), (csv_path, report.to_csv_text())):
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    sys.stdout.write(report.to_kv_text())
+    text = report.to_kv_text()
+    with open(txt_path, "w", newline="") as fh:
+        fh.write(text)
+    names, values = zip(*(line.split("=") for line in text.splitlines()))
+    _write_table(csv_path, ("quantity", "value"), [names, values])
+    sys.stdout.write(text)
     print(f"wrote {txt_path} and {csv_path}")
     return 0
 
 
-def _cmd_sweep(args, parser) -> int:
-    config = _effective_config(args, parser, ltv=False)
+def _cmd_sweep(args) -> int:
+    config = _effective_config(args, ltv=False)
     sweep = lambda_sweep(config, args.lambdas)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
@@ -267,21 +255,22 @@ def build_parser() -> argparse.ArgumentParser:
         _add_sim_arguments(study, ltv)
         study.add_argument("--write-datasets", action="store_true",
                            help="also write each run's dataset CSV")
-        study.set_defaults(func=partial(_cmd_simulate, parser=study, ltv=ltv))
+        study.set_defaults(func=partial(_cmd_simulate, ltv=ltv))
 
     est = sub.add_parser("estimate", help="run one estimator over a dataset CSV")
     est.add_argument("--in", dest="input", required=True, help="dataset CSV path")
     est.add_argument("--out", required=True, help="output directory")
-    _add_settings(est, ("lam", "p0_scale", "prior_radius"), _SIM_DEFAULTS)
+    defaults = _defaults(False)
+    _add_settings(est, ("lam", "p0_scale", "prior_radius"), defaults)
     est.add_argument("--m", type=_parse_mode, default=None,
                      help="truncation window, or 'exact' (default exact)")
-    _add_settings(est, ("monotonic",), _SIM_DEFAULTS)
+    _add_settings(est, ("monotonic",), defaults)
     est.set_defaults(func=_cmd_estimate)
 
     pe = sub.add_parser("analyze-pe", help="excitation diagnostics for a dataset CSV")
     pe.add_argument("--in", dest="input", required=True, help="dataset CSV path")
     pe.add_argument("--out", required=True, help="output directory")
-    _add_settings(pe, ("lam", "p0_scale"), _SIM_DEFAULTS)
+    _add_settings(pe, ("lam", "p0_scale"), defaults)
     pe.add_argument("--window", type=int, default=None,
                     help="excitation window T (default 2n)")
     pe.set_defaults(func=_cmd_analyze_pe)
@@ -290,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_arguments(sweep, ltv=False)
     sweep.add_argument("--lambdas", type=_parse_floats, required=True,
                        help="comma list of forgetting factors")
-    sweep.set_defaults(func=lambda a: _cmd_sweep(a, sweep))
+    sweep.set_defaults(func=_cmd_sweep)
 
     return parser
 

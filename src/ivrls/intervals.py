@@ -139,7 +139,3 @@ def from_center_radius(center, radius) -> IntervalVector:
             f"radius has {r.shape[0]}"
         )
     return IntervalVector(c - r, c + r)
-
-
-# the same membership test as a function of the box; not exported
-contains = IntervalVector.contains

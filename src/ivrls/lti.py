@@ -165,7 +165,7 @@ class _Box:
         return box
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class IntervalEstimate:
     """One time step of estimator output.
 
@@ -188,10 +188,6 @@ class IntervalEstimate:
     refined_lower: np.ndarray | None
     refined_upper: np.ndarray | None
     inconsistent: bool
-
-    def __init__(self, t, point, lower, upper, refined_lower, refined_upper, inconsistent):
-        self.__dict__.update(t=t, point=point, lower=lower, upper=upper, inconsistent=inconsistent,
-                             refined_lower=refined_lower, refined_upper=refined_upper)
 
     raw = _Box("lower", "upper")
     refined = _Box("refined_lower", "refined_upper")
@@ -470,8 +466,14 @@ class LtiIntervalEstimator:
         stage = self._identifier
         # the first estimator on the stage to take this sample advances it;
         # the others find it one step ahead and read it
-        if stage.state.t == t:
+        taken = stage.state.t
+        if taken == t:
             stage._take(x, y, v_low, v_high, drift)
+        elif taken != t + 1:
+            raise ValueError(
+                f"step {t + 1}: the shared stage has taken {taken} samples; "
+                "estimators on one stage must step sample-major"
+            )
         self._t = t + 1
         radius = self._engine.step(stage)
         lower = stage.center - radius
@@ -501,9 +503,10 @@ def _on_one_stage(base: EstimatorConfig, modes) -> list[LtiIntervalEstimator]:
     """One estimator per mode in `modes`, all on one per-sample stage.
 
     Contract: give every estimator the same samples and step them
-    sample-major, every estimator on a sample before any takes the next.
-    Nothing checks this.  The stage takes the sample of whichever
-    estimator steps first, and the others read its results.  Under this
+    sample-major, every estimator on a sample before any takes the next;
+    a step that finds the stage neither at nor one sample past its own
+    count is refused.  The stage takes the sample of whichever estimator
+    steps first, and the others read its results.  Under this
     contract each estimator's point estimate and raw bounds are those of
     an estimator of its own, bit for bit in exact mode and for a window m
     while t <= m.  Past that a window reads its newest m term blocks from

@@ -305,9 +305,6 @@ class PeReport:
             lines.append(f"{f.name}={text}")
         return "\n".join(lines) + "\n"
 
-    def to_csv_text(self) -> str:
-        return "quantity,value\n" + self.to_kv_text().replace("=", ",")
-
 
 def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeReport:
     """Run every diagnostic on a regressor sequence and bundle the results.

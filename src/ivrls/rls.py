@@ -40,7 +40,7 @@ class RlsConfig:
     lam must lie in (0, 1].  lam = 1 (no forgetting) is accepted so the
     identifier can be exercised on its own, but the interval estimators'
     contraction argument needs lam < 1, so it triggers a warning.
-    P0 must be symmetric positive definite.
+    theta0 and P0 must be finite, and P0 symmetric positive definite.
     """
 
     theta0: np.ndarray
@@ -55,6 +55,9 @@ class RlsConfig:
             raise ValueError(
                 f"P0 must have shape ({n}, {n}) to match theta0, got {P0.shape}"
             )
+        for name, value in (("theta0", theta0), ("P0", P0)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         scale = float(np.linalg.norm(P0))
         if scale == 0.0 or np.linalg.norm(P0 - P0.T) > _SPD_RTOL * scale:
             raise ValueError("P0 must be symmetric (relative tolerance 1e-12)")

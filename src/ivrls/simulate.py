@@ -33,7 +33,8 @@ import numpy as np
 
 from .data import Dataset
 
-__all__ = ["SimConfig", "generate_lti", "generate_ltv", "REFERENCE_THETA", "REFERENCE_DRIFT_RADIUS"]
+__all__ = ["SimConfig", "generate_lti", "generate_ltv",
+           "REFERENCE_THETA", "REFERENCE_DRIFT_RADIUS", "REFERENCE_LTV"]
 
 REFERENCE_THETA = (-1.40, 0.75, 0.60, -0.10)
 REFERENCE_DRIFT_RADIUS = (0.10, 0.05, 0.04, 0.01)
@@ -46,7 +47,8 @@ class SimConfig:
     modes lists the radius recursions to run, integers for truncation
     windows and None for exact.  drift_radius switches the plant to the
     time-varying variant.  Defaults reproduce the constant-parameter
-    reference study.
+    reference study; REFERENCE_LTV is the drifting one.  Every setting
+    must be finite.
     """
 
     theta_true: tuple = REFERENCE_THETA
@@ -74,18 +76,22 @@ class SimConfig:
             raise ValueError(
                 f"theta_true must have n_a + n_b = {n} entries, got {len(self.theta_true)}"
             )
-        if self.noise_half_width < 0:
-            raise ValueError(f"noise_half_width must be >= 0, got {self.noise_half_width}")
+        if not all(map(math.isfinite, self.theta_true)):
+            raise ValueError(f"theta_true entries must be finite, got {self.theta_true}")
+        if not 0 <= self.noise_half_width < math.inf:
+            raise ValueError(
+                f"noise_half_width must be finite and >= 0, got {self.noise_half_width}"
+            )
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
-        if self.p0_scale <= 0:
-            raise ValueError(f"p0_scale must be positive, got {self.p0_scale}")
-        if self.prior_radius <= 0:
-            raise ValueError(f"prior_radius must be positive, got {self.prior_radius}")
+        if not 0 < self.p0_scale < math.inf:
+            raise ValueError(f"p0_scale must be finite and positive, got {self.p0_scale}")
+        if not 0 < self.prior_radius < math.inf:
+            raise ValueError(f"prior_radius must be finite and positive, got {self.prior_radius}")
         modes = tuple(None if m is None else int(m) for m in self.modes)
         if not modes:
             raise ValueError("modes must not be empty")
@@ -99,11 +105,11 @@ class SimConfig:
             dr = tuple(float(v) for v in self.drift_radius)
             if len(dr) != n:
                 raise ValueError(f"drift_radius must have {n} entries, got {len(dr)}")
-            if any(v < 0 for v in dr):
-                raise ValueError("drift_radius entries must be >= 0")
+            if not all(0 <= v < math.inf for v in dr):
+                raise ValueError(f"drift_radius entries must be finite and >= 0, got {dr}")
             object.__setattr__(self, "drift_radius", dr)
-        if self.drift_period <= 0:
-            raise ValueError(f"drift_period must be positive, got {self.drift_period}")
+        if not 0 < self.drift_period < math.inf:
+            raise ValueError(f"drift_period must be finite and positive, got {self.drift_period}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -114,6 +120,9 @@ class SimConfig:
     @property
     def is_ltv(self) -> bool:
         return self.drift_radius is not None
+
+
+REFERENCE_LTV = SimConfig(lam=0.1, modes=(5, None), drift_radius=REFERENCE_DRIFT_RADIUS)
 
 
 def _draw(config: SimConfig, seed: int):

@@ -31,7 +31,7 @@ from ivrls.pe import (
     pe_levels,
 )
 from ivrls.rls import RlsConfig
-from ivrls.simulate import REFERENCE_DRIFT_RADIUS, REFERENCE_THETA, SimConfig, generate_lti
+from ivrls.simulate import REFERENCE_LTV, REFERENCE_THETA, SimConfig, generate_lti
 
 from helpers import batch_rls, collect_run, phi_product, study_with_traces, vertex_oracle
 
@@ -331,14 +331,7 @@ def test_criterion_11_long_horizon_boundedness():
 
 @criterion(12, "drifting-parameter containment and zero-drift reduction")
 def test_criterion_12_drifting_parameters():
-    config = replace(
-        STUDY,
-        seed=SEED + 5,
-        lam=0.1,
-        modes=(5, None),
-        drift_radius=REFERENCE_DRIFT_RADIUS,
-        drift_period=30.0,
-    )
+    config = replace(REFERENCE_LTV, seed=SEED + 5)
     result = run_experiment(config)
     assert len(result.audits) == 100 * 2
     for audit in result.audits:

@@ -192,6 +192,58 @@ def test_repeated_modes_are_refused(modes, shown, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # a leaked numpy warning fails the test
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("simulate-lti", "--p0-scale", "nan", "p0_scale"),
+    ("simulate-lti", "--p0-scale", "inf", "p0_scale"),
+    ("simulate-lti", "--noise-half-width", "nan", "noise_half_width"),
+    ("simulate-lti", "--noise-half-width", "inf", "noise_half_width"),
+    ("simulate-lti", "--theta-true", "nan,0.75,0.6,-0.1", "theta_true"),
+    ("simulate-ltv", "--drift-period", "nan", "drift_period"),
+    ("simulate-ltv", "--drift-radius", "0.1,inf,0,0", "drift_radius"),
+])
+def test_a_non_finite_setting_is_refused_naming_it(command, flag, value, field, tmp_path,
+                                                   capsys):
+    out = tmp_path / "o"
+    rc = main([command, "--seed", "0", "--out", str(out), "--runs", "1", "--horizon", "10",
+               flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config, status, error", [
+    (["--theta-true", "1,x"], None, 2,
+     "argument --theta-true: expected comma-separated floats, got '1,x'"),
+    (["--monotonic", "maybe"], None, 2, "argument --monotonic: expected a boolean, got 'maybe'"),
+    ([], "runs 3\n", 1, "{cfg}: line 1: expected key=value"),
+    ([], "monotonic = maybe\n", 1, "{cfg}: monotonic: expected a boolean, got 'maybe'"),
+])
+def test_a_setting_text_its_parser_refuses_is_named(flags, config, status, error, tmp_path,
+                                                     capsys):
+    out, cfg = tmp_path / "o", tmp_path / "study.cfg"
+    argv = ["simulate-lti", "--seed", "0", "--out", str(out), *flags]
+    if config is not None:
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        rc = exc.code
+    assert rc == status
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {error.format(cfg=cfg)}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, value", [("true", True), (" On ", True), ("0", False)])
+def test_monotonic_flag_reads_a_boolean(text, value):
+    args = cli.build_parser().parse_args(["simulate-lti", "--seed", "0", "--out", "o",
+                                          "--monotonic", text])
+    assert args.monotonic is value
+
+
 def test_estimate_rejects_bad_dataset(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,y,x_1,v_lo,v_hi\n1,0,0,0.3,-0.3\n")

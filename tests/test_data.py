@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -321,3 +322,35 @@ def test_t_written_as_a_float_is_read_by_value(tmp_path):
     path.write_text("t,y,x_1,v_lo,v_hi\n1,0,0,-0.1,0.1\n9223372036854775808,0,0,-0.1,0.1\n")
     with pytest.raises(ValueError, match="line 3, column 't': t out of the int64 range"):
         Dataset.from_csv(path)
+
+
+def _read(text):
+    def read(path):
+        path.write_text(text)
+        Dataset.from_csv(path)
+    return read
+
+
+def _estimates(**kwargs):
+    columns = dict(point=np.zeros((2, 1)), center=np.zeros((2, 1)), radius=np.zeros((2, 1)),
+                   lower=np.zeros((2, 1)), upper=np.zeros((2, 1)))
+    return lambda path: write_estimates_csv(path, [1, 2], **{**columns, **kwargs})
+
+
+@pytest.mark.parametrize("call, message", [
+    (_read("t,y,x_1,x_1,v_lo,v_hi\n"), "{path}: duplicate column names in header"),
+    (_read("t,y,x_1,v_lo,v_hi,delta_lo_1\n"),
+     "{path}: delta_lo_* and delta_hi_* must appear together"),
+    (_read("# a comment and nothing else\n\n"), "{path}: empty file"),
+    (lambda path: Dataset(t=[1, 2], X=np.zeros(2), y=np.zeros(2), v_low=np.zeros(2),
+                          v_high=np.zeros(2)), "X must be (2, n), got (2,)"),
+    (lambda path: Dataset(t=[1, 2], X=np.zeros((2, 1)), y=np.zeros(3), v_low=np.zeros(2),
+                          v_high=np.zeros(2)), "y must have shape (2,), got (3,)"),
+    (_estimates(mono_lower=np.zeros((2, 1))),
+     "mono_lower and mono_upper must be given together"),
+    (_estimates(center=np.zeros((3, 1))), "c must have shape (2, 1), got (3, 1)"),
+])
+def test_a_malformed_table_is_refused_with_its_cause(call, message, tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        call(path)

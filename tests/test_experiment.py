@@ -18,7 +18,13 @@ from ivrls.experiment import (
 )
 from ivrls.intervals import IntervalVector
 from ivrls.lti import LtiIntervalEstimator
-from ivrls.simulate import REFERENCE_DRIFT_RADIUS, SimConfig, generate_lti, generate_ltv
+from ivrls.simulate import (
+    REFERENCE_DRIFT_RADIUS,
+    REFERENCE_LTV,
+    SimConfig,
+    generate_lti,
+    generate_ltv,
+)
 
 from helpers import mode_major_run_dataset, study_with_traces, vertex_oracle
 
@@ -111,9 +117,7 @@ def test_run_dataset_matches_direct_estimator_loop():
 
 
 def test_ltv_experiment_runs_and_audits():
-    config = small_config(
-        drift_radius=REFERENCE_DRIFT_RADIUS, lam=0.1, modes=(5, None), runs=2
-    )
+    config = replace(REFERENCE_LTV, runs=2, horizon=40, seed=100)
     result = run_experiment(config)
     assert result.all_contained
     assert {a.label for a in result.averages} == {"m5", "exact"}
@@ -226,9 +230,7 @@ def test_estimate_from_csv_without_truth_returns_none(tmp_path):
 
 
 def test_estimate_from_csv_uses_ltv_when_drift_columns_present(tmp_path):
-    config = small_config(
-        drift_radius=REFERENCE_DRIFT_RADIUS, lam=0.1, modes=(5,), runs=1
-    )
+    config = replace(REFERENCE_LTV, runs=1, horizon=40, seed=100, modes=(5,))
     from ivrls.simulate import generate_ltv
 
     ds = generate_ltv(config, seed=5)
@@ -331,8 +333,7 @@ def stepped_with_a_box_per_row(ds, config):
 
 @pytest.mark.parametrize("edited", [False, True])
 def test_run_dataset_honours_every_drift_row(edited, monkeypatch):
-    config = small_config(horizon=60, modes=(5, None), lam=0.1,
-                          drift_radius=REFERENCE_DRIFT_RADIUS)
+    config = replace(REFERENCE_LTV, runs=3, horizon=60, seed=100)
     ds = generate_ltv(config, seed=config.seed)
     r = np.asarray(REFERENCE_DRIFT_RADIUS)
     boxes = 1  # a generated drift box is the same at every row
@@ -381,8 +382,7 @@ def test_run_dataset_honours_every_drift_row(edited, monkeypatch):
 @pytest.mark.parametrize("side, row, component, value",
                          [("delta_low", 57, 2, 1.0), ("delta_high", 90, 1, np.nan)])
 def test_a_bad_drift_row_fails_naming_its_step(side, row, component, value):
-    config = small_config(horizon=100, modes=(5, None), lam=0.1,
-                          drift_radius=REFERENCE_DRIFT_RADIUS)
+    config = replace(REFERENCE_LTV, runs=3, horizon=100, seed=100)
     ds = generate_ltv(config, seed=config.seed)
     getattr(ds, side)[row, component] = value
     with pytest.raises(ValueError, match=rf"^step {row + 1}: drift bound inversion .* "
@@ -398,8 +398,7 @@ def test_a_bad_drift_row_fails_naming_its_step(side, row, component, value):
     ("y", 57, np.inf, "y must be finite, got inf"),
 ])
 def test_a_bad_sample_fails_naming_its_step(column, index, value, cause):
-    config = small_config(horizon=100, modes=(5, None), lam=0.1,
-                          drift_radius=REFERENCE_DRIFT_RADIUS)
+    config = replace(REFERENCE_LTV, runs=3, horizon=100, seed=100)
     ds = generate_ltv(config, seed=config.seed)
     getattr(ds, column)[index] = value
     with pytest.raises(ValueError, match=rf"^step 58: {cause}$"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ivrls.intervals import IntervalVector, contains, from_center_radius
+from ivrls.intervals import IntervalVector, from_center_radius
 from ivrls.lti import _refine
 
 from helpers import box_image_minmax, tightest_image
@@ -174,19 +174,33 @@ def test_translate():
 
 def test_contains_boundary_and_slack():
     box = IntervalVector([0.0], [1.0])
-    assert contains(box, [0.0])
-    assert contains(box, [1.0])
-    assert not contains(box, [1.0 + 1e-12])
-    assert contains(box, [1.0 + 1e-12], slack=1e-9)
-    assert not contains(box, [-0.5], slack=0.1)
+    assert box.contains([0.0])
+    assert box.contains([1.0])
+    assert not box.contains([1.0 + 1e-12])
+    assert box.contains([1.0 + 1e-12], slack=1e-9)
+    assert not box.contains([-0.5], slack=0.1)
     with pytest.raises(ValueError, match="slack"):
-        contains(box, [0.5], slack=-1e-9)
+        box.contains([0.5], slack=-1e-9)
+
+
+@pytest.mark.parametrize("center, radius, message", [
+    ([0.0, 1.0], [1.0], "dimension mismatch: center has 2 components, radius has 1"),
+    ([0.0], [1.0, 2.0], "dimension mismatch: center has 1 components, radius has 2"),
+])
+def test_from_center_radius_refuses_mismatched_dimensions(center, radius, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        from_center_radius(center, radius)
+
+
+def test_repr_lists_each_component_interval():
+    box = IntervalVector([-1.5, 0.0], [2.0, 1e-20])
+    assert repr(box) == "IntervalVector([-1.5, 2], [0, 1e-20])"
 
 
 def test_dimension_mismatches():
     a = IntervalVector([0.0], [1.0])
     with pytest.raises(ValueError, match="mismatch"):
-        contains(a, [0.0, 0.0])
+        a.contains([0.0, 0.0])
     with pytest.raises(ValueError, match="mismatch"):
         IntervalVector([0.0], [1.0, 2.0])
 

@@ -10,6 +10,7 @@ from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, _on_one_stage, _ref
 from ivrls.rls import RlsConfig
 from ivrls.simulate import (
     REFERENCE_DRIFT_RADIUS,
+    REFERENCE_LTV,
     REFERENCE_THETA,
     SimConfig,
     generate_lti,
@@ -382,6 +383,19 @@ def test_shared_modes_stepped_in_reverse_order_match_independent_estimators(drif
     check_shared_matches_independent(drifting, reverse=True)
 
 
+def test_a_mode_out_of_sample_order_on_a_shared_stage_is_refused():
+    rls = RlsConfig(theta0=np.zeros(2), P0=1000.0 * np.eye(2), lam=0.99)
+    exact, m3 = shared_estimators(rls, (None, 3))
+    samples = [([1.0, 0.5], 0.2, -0.1, 0.1), ([0.3, -1.0], -0.1, -0.1, 0.1)]
+    for sample in samples:
+        exact.step(*sample)
+    # m3's first sample would read sample 2's point; refused before any change
+    with pytest.raises(ValueError, match=r"^step 1: the shared stage has taken 2 samples; "
+                                         r"estimators on one stage must step sample-major$"):
+        m3.step(*samples[0])
+    assert m3.t == 0 and m3.rls_state.t == exact.t == 2
+
+
 def brute_force_radii(As, terms, prior, modes):
     """r(t) of each mode from directly multiplied Phi products: the full
     sum for exact mode and for t <= m, else the window's recursion."""
@@ -507,8 +521,7 @@ def test_shared_identifier_steps_rls_once_per_sample(monkeypatch):
 def test_radius_overflow_fails_fast_naming_step_and_window(seed):
     # lambda = 0.1 with a window of 2, far below the certified m*: the
     # windowed radius recursion blows up within 2000 steps
-    config = SimConfig(horizon=2000, seed=seed, lam=0.1, modes=(2,),
-                       drift_radius=REFERENCE_DRIFT_RADIUS, drift_period=30.0)
+    config = dataclasses.replace(REFERENCE_LTV, horizon=2000, seed=seed, modes=(2,))
     ds = generate_ltv(config, seed=seed)
     est = LtiIntervalEstimator(make_config(lam=0.1, m=2, monotonic=True))
     last = None
@@ -552,7 +565,8 @@ def test_estimate_arrays_are_read_only_and_the_boxes_built_on_read():
 
 
 def test_per_step_dataclasses_stay_frozen_dataclasses():
-    # RlsState and IntervalEstimate fill their fields in an __init__ of their own
+    # RlsState fills its fields in an __init__ of its own, IntervalEstimate
+    # in the generated one; a step builds estimates without either
     est = LtiIntervalEstimator(make_config(n=2, monotonic=True))
     out = est.step([1.0, 0.5], 0.2, -0.1, 0.1)
     for obj in (est.rls_state, out):

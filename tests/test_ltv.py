@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from ivrls.lti import EstimatorConfig, LtiIntervalEstimator
 from ivrls.rls import RlsConfig
 from ivrls.simulate import (
     REFERENCE_DRIFT_RADIUS,
-    SimConfig,
+    REFERENCE_LTV,
     drift_increment,
     generate_ltv,
 )
@@ -16,15 +18,7 @@ from helpers import random_spd, vertex_oracle
 
 
 def ltv_sim_config(**kwargs):
-    base = dict(
-        drift_radius=REFERENCE_DRIFT_RADIUS,
-        lam=0.1,
-        horizon=150,
-        monotonic=True,
-        modes=(5, None),
-    )
-    base.update(kwargs)
-    return SimConfig(**base)
+    return replace(REFERENCE_LTV, **{"horizon": 150, **kwargs})
 
 
 def make_config(n=4, lam=0.1, p0=1000.0, prior=4.0, m=None, monotonic=False):

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ivrls import pe
+from ivrls.cli import main
 from ivrls.pe import (
     analyze,
     asymptotic_radius_bound,
@@ -216,7 +218,7 @@ def test_eta_q_bound_dominates_observed_gains():
     assert max(np.linalg.norm(q) for q in qs) <= bound
 
 
-def test_analyze_report_fields_and_serialization():
+def test_analyze_report_fields_and_serialization(tmp_path):
     ds = generate_lti(SimConfig(horizon=200, seed=1), seed=1)
     report = analyze(ds.X, lam=0.99, P0=1000.0 * np.eye(4), noise_radius=0.2)
     assert report.is_pe
@@ -228,7 +230,11 @@ def test_analyze_report_fields_and_serialization():
     for key in ("alpha", "beta", "T", "gamma1", "gamma2", "c", "rho",
                 "m_star", "b_inf_star", "h_min", "h_max"):
         assert f"{key}=" in kv
-    csv_text = report.to_csv_text()
+    # analyze-pe's defaults and the dataset's noise bounds give the same report
+    ds.to_csv(tmp_path / "ds.csv")
+    assert main(["analyze-pe", "--in", str(tmp_path / "ds.csv"), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "pe_report.txt").read_text() == kv
+    csv_text = (tmp_path / "pe_report.csv").read_text()
     lines = csv_text.strip().split("\n")
     assert lines[0] == "quantity,value"
     assert len(lines) == kv.count("\n") + 1
@@ -286,3 +292,30 @@ def test_analyze_rejects_bad_regressors_and_covariance():
     X[3, 1] = np.inf
     with pytest.raises(ValueError, match="x must be finite"):
         analyze(X, lam=0.9, P0=np.eye(2))
+
+
+X3 = np.eye(2)[[0, 1, 0]]
+
+
+@pytest.mark.parametrize("func, args, message", [
+    (pe_levels, (np.zeros(5), 2), "X must be an (N, n) array, got shape (5,)"),
+    (pe_levels, (X3, 0), "T must be >= 1, got 0"),
+    (gamma_bounds, (X3, 0, 0.9, np.eye(2), 1.0, 2.0), "T must be >= 1, got 0"),
+    (gamma_bounds, (X3[:1], 4, 0.9, np.eye(2), 1.0, 2.0), "need at least T-1=3 regressors, got 1"),
+    (gamma_bounds, (X3, 2, 0.9, np.eye(2), 2.0, 1.0), "beta=1.0 must be >= alpha=2.0"),
+    (contraction_constants, (0, 1.0, 2.0, 0.9), "n must be >= 1, got 0"),
+    (contraction_constants, (2, 0.0, 1.0, 0.9), "need 0 < gamma1 <= gamma2, got 0.0, 1.0"),
+    (m_star, (2, 1.0, 2.0, 1.0), "lam must lie in (0, 1), got 1.0"),
+    (iss_envelope, (-1, 0.9, 1.0, 1.0, 1.0, []), "t must be >= 0, got -1"),
+    (iss_envelope, (1, 1.5, 1.0, 1.0, 1.0, [0.1]), "lam must lie in (0, 1], got 1.5"),
+    (asymptotic_radius_bound, (0.0, 0.5, 1.0, 1.0, 3), "c must be positive, got 0.0"),
+    (asymptotic_radius_bound, (1.0, 1.0, 1.0, 1.0, 3), "rho must lie in (0, 1), got 1.0"),
+    (asymptotic_radius_bound, (1.0, 0.5, -1.0, 1.0, 3), "eta_q and eta_v must be nonnegative"),
+    (asymptotic_radius_bound, (1.0, 0.5, 1.0, 1.0, 0), "m must be >= 1, got 0"),
+    (eta_q_bound, (2.0, 1.0, 0.9, 0.0, 1.0), "need 0 < gamma1 <= gamma2, got 2.0, 1.0"),
+    (eta_q_bound, (1.0, 2.0, 0.0, 0.0, 1.0), "lam must lie in (0, 1], got 0.0"),
+    (eta_q_bound, (1.0, 2.0, 0.9, 2.0, 1.0), "need 0 <= h_min <= h_max, got 2.0, 1.0"),
+])
+def test_each_certificate_refuses_inputs_outside_its_assumptions(func, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(*args)

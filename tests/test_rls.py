@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,20 @@ def test_config_rejects_indefinite_p0():
 def test_config_rejects_asymmetric_p0():
     with pytest.raises(ValueError, match="symmetric"):
         RlsConfig(theta0=np.zeros(2), P0=np.array([[1.0, 0.1], [0.0, 1.0]]), lam=0.9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta0, P0, name", [
+    ([math.nan, 0.0], np.eye(2), "theta0"),
+    ([0.0, -math.inf], np.eye(2), "theta0"),
+    ([0.0, 0.0], [[math.nan, 0.0], [0.0, 1.0]], "P0"),
+    ([0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]], "P0"),
+])
+def test_config_rejects_non_finite_initial_conditions(theta0, P0, name):
+    # before the symmetry and eigenvalue checks, which would misname the
+    # cause or warn on the non-finite entries
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        RlsConfig(theta0=theta0, P0=P0, lam=0.9)
 
 
 def test_config_rejects_shape_mismatch():

@@ -1,8 +1,13 @@
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ivrls.simulate import (
     REFERENCE_DRIFT_RADIUS,
+    REFERENCE_LTV,
     REFERENCE_THETA,
     SimConfig,
     drift_increment,
@@ -22,6 +27,38 @@ def test_config_validation():
         SimConfig(drift_radius=(0.1,))
     with pytest.raises(ValueError, match="runs"):
         SimConfig(runs=0)
+
+
+nan, inf = math.nan, math.inf
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(n_a=-1), "need n_a, n_b >= 0 with n_a + n_b >= 1, got -1, 2"),
+    (dict(theta_true=(nan, 0.75, 0.6, -0.1)),
+     "theta_true entries must be finite, got (nan, 0.75, 0.6, -0.1)"),
+    (dict(theta_true=(-1.4, 0.75, -inf, -0.1)),
+     "theta_true entries must be finite, got (-1.4, 0.75, -inf, -0.1)"),
+    (dict(noise_half_width=-0.1), "noise_half_width must be finite and >= 0, got -0.1"),
+    (dict(noise_half_width=nan), "noise_half_width must be finite and >= 0, got nan"),
+    (dict(noise_half_width=inf), "noise_half_width must be finite and >= 0, got inf"),
+    (dict(horizon=0), "horizon must be >= 1, got 0"),
+    (dict(p0_scale=0.0), "p0_scale must be finite and positive, got 0.0"),
+    (dict(p0_scale=nan), "p0_scale must be finite and positive, got nan"),
+    (dict(p0_scale=inf), "p0_scale must be finite and positive, got inf"),
+    (dict(prior_radius=-4.0), "prior_radius must be finite and positive, got -4.0"),
+    (dict(prior_radius=nan), "prior_radius must be finite and positive, got nan"),
+    (dict(modes=()), "modes must not be empty"),
+    (dict(drift_radius=(0.1, -0.05, 0.0, 0.0)),
+     "drift_radius entries must be finite and >= 0, got (0.1, -0.05, 0.0, 0.0)"),
+    (dict(drift_radius=(0.1, 0.05, inf, 0.0)),
+     "drift_radius entries must be finite and >= 0, got (0.1, 0.05, inf, 0.0)"),
+    (dict(drift_period=0.0), "drift_period must be finite and positive, got 0.0"),
+    (dict(drift_period=nan), "drift_period must be finite and positive, got nan"),
+    (dict(workers=0), "workers must be >= 1, got 0"),
+])
+def test_a_setting_out_of_range_or_not_finite_is_refused_naming_it(settings, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimConfig(**settings)
 
 
 def test_same_seed_is_bitwise_reproducible():
@@ -84,9 +121,7 @@ def test_unstable_plant_reports_divergence_time():
 
 
 def test_ltv_trajectory_and_drift_boxes():
-    config = SimConfig(
-        drift_radius=REFERENCE_DRIFT_RADIUS, lam=0.1, horizon=90, modes=(5, None)
-    )
+    config = replace(REFERENCE_LTV, horizon=90)
     ds = generate_ltv(config, seed=19)
     assert ds.is_ltv
     r = np.array(REFERENCE_DRIFT_RADIUS)
