@@ -20,7 +20,7 @@ from .pe import (
     eta_q_bound,
     analyze,
 )
-from .lti import EstimatorConfig, IntervalEstimate, LtiIntervalEstimator
+from .lti import EstimatorConfig, EstimatorSpec, IntervalEstimate, LtiIntervalEstimator
 from .data import Dataset
 from .simulate import SimConfig, generate_lti, generate_ltv
 from .experiment import (

@@ -31,6 +31,7 @@ from .experiment import (
     run_experiment,
     write_experiment,
 )
+from .lti import EstimatorSpec
 from .pe import analyze
 from .simulate import REFERENCE_LTV, SimConfig
 
@@ -69,12 +70,19 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _defaults(ltv: bool) -> dict:
-    """Every setting of the reference study of either plant but the seed;
-    only the drifting one has the drift settings."""
+# The settings sweep-lambda sets itself, so it offers no flag for them.
+_SWEPT = ("lam", "monotonic")
+# The reference study of either plant, by `ltv`, built once on import.
+_REFERENCES = (asdict(SimConfig()), asdict(REFERENCE_LTV))
+
+
+def _defaults(ltv: bool, fixed=()) -> dict:
+    """Every setting of the reference study of either plant, in `_FLAGS`
+    order, but the seed and `fixed`; only the drifting one has the drift
+    settings."""
     drift = ("drift_radius", "drift_period")
-    study = asdict(REFERENCE_LTV if ltv else SimConfig())
-    return {k: v for k, v in study.items() if k != "seed" and (ltv or k not in drift)}
+    study = _REFERENCES[ltv]
+    return {k: study[k] for k in _FLAGS if k not in fixed and (ltv or k not in drift)}
 
 
 def _show(value) -> str:
@@ -100,9 +108,9 @@ _FLAGS = {
     "prior_radius": ("--prior-radius", float, "prior box half-width around 0"),
     "modes": ("--modes", _parse_modes, "comma list of windows, 'exact' for full memory"),
     "monotonic": ("--monotonic", _parse_bool, "refine boxes by running intersection"),
-    "workers": ("--workers", int, "parallel processes for the runs"),
     "drift_radius": ("--drift-radius", _parse_floats, "per-component drift bound"),
     "drift_period": ("--drift-period", float, "sinusoid period of the drift"),
+    "workers": ("--workers", int, "parallel processes for the runs"),
 }
 
 
@@ -116,21 +124,22 @@ def _add_settings(sub: argparse.ArgumentParser, keys, defaults: dict, suppress=F
                          help=f"{text} (default {_show(defaults[key])})")
 
 
-def _add_sim_arguments(sub: argparse.ArgumentParser, ltv: bool) -> None:
+def _add_sim_arguments(sub: argparse.ArgumentParser, ltv: bool, fixed=()) -> None:
     sub.add_argument("--seed", type=int, required=True, help="base seed; run k uses seed+k")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--config", help="flat key=value file; flags override it")
-    defaults = _defaults(ltv)
+    defaults = _defaults(ltv, fixed)
     _add_settings(sub, defaults, defaults, suppress=True)
 
 
-def _effective_config(args, ltv: bool) -> SimConfig:
+def _effective_config(args, ltv: bool, fixed=()) -> SimConfig:
     """SimConfig from defaults, then the --config file, then explicit flags.
 
     File values are converted by the type of the flag of the same key, so
-    the file and the command line accept the same text.
+    the file and the command line accept the same text.  A `fixed` setting
+    has neither flag nor key and keeps its default.
     """
-    defaults = _defaults(ltv)
+    defaults = _defaults(ltv, fixed)
     effective = dict(defaults)
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
@@ -181,17 +190,10 @@ def _cmd_simulate(args, ltv: bool) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    spec = EstimatorSpec(lam=args.lam, p0_scale=args.p0_scale, prior_radius=args.prior_radius,
+                         modes=(args.m,), monotonic=args.monotonic)
     out_path = os.path.join(args.out, "estimates.csv")
-    audit = estimate_from_csv(
-        args.input,
-        out_path,
-        lam=args.lam,
-        p0_scale=args.p0_scale,
-        prior_radius=args.prior_radius,
-        m=args.m,
-        monotonic=args.monotonic,
-    )
+    audit = estimate_from_csv(args.input, out_path, spec)
     print(f"wrote {out_path}")
     if audit is None:
         print("no true trajectory in input; containment not audited")
@@ -205,12 +207,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_analyze_pe(args) -> int:
+    spec = EstimatorSpec(lam=args.lam, p0_scale=args.p0_scale)
     dataset = Dataset.from_csv(args.input)
     noise_radius = np.maximum(np.abs(dataset.v_low), np.abs(dataset.v_high))
     report = analyze(
         dataset.X,
-        lam=args.lam,
-        P0=args.p0_scale * np.eye(dataset.n),
+        lam=spec.lam,
+        P0=spec.p0_scale * np.eye(dataset.n),
         T=args.window,
         noise_radius=noise_radius,
     )
@@ -228,7 +231,7 @@ def _cmd_analyze_pe(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _effective_config(args, ltv=False)
+    config = _effective_config(args, ltv=False, fixed=_SWEPT)
     sweep = lambda_sweep(config, args.lambdas)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
@@ -275,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="excitation window T (default 2n)")
     pe.set_defaults(func=_cmd_analyze_pe)
 
-    sweep = sub.add_parser("sweep-lambda", help="forgetting-factor sweep")
-    _add_sim_arguments(sweep, ltv=False)
+    # no abbreviations: --lambda would be read as --lambdas
+    sweep = sub.add_parser("sweep-lambda", help="forgetting-factor sweep", allow_abbrev=False)
+    _add_sim_arguments(sweep, ltv=False, fixed=_SWEPT)
     sweep.add_argument("--lambdas", type=_parse_floats, required=True,
                        help="comma list of forgetting factors")
     sweep.set_defaults(func=_cmd_sweep)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, _write_table, write_estimates_csv
 from .intervals import IntervalVector, _halves, _within, from_center_radius
-from .lti import EstimatorConfig, _on_one_stage
+from .lti import EstimatorConfig, EstimatorSpec, _on_one_stage
 from .rls import RlsConfig
 from .simulate import SimConfig, generate_lti, generate_ltv
 
@@ -115,8 +115,8 @@ class ExperimentResult:
         raise KeyError(f"no mode labeled {label!r}")
 
 
-def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
-    """Apply every configured estimator mode to one dataset, in row order.
+def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
+    """Apply every mode of the spec to one dataset, in row order.
 
     The modes are built on one per-sample stage and stepped sample-major,
     as that stage asks, so each sample goes through RLS and the center
@@ -138,12 +138,10 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
             except ValueError as exc:
                 raise ValueError(f"step {s + 1}: drift {exc}") from None
         drifts = [boxes[j] for j in (np.cumsum(new) - 1).tolist()]
-    base = estimator_config(
-        n, config.lam, config.p0_scale, config.prior_radius, None, config.monotonic
-    )
-    estimators = _on_one_stage(base, config.modes)
+    base = estimator_config(n, spec.lam, spec.p0_scale, spec.prior_radius, None, spec.monotonic)
+    estimators = _on_one_stage(base, spec.modes)
     shape = (N, n)
-    mono = config.monotonic
+    mono = spec.monotonic
     traces = [
         ModeTrace(
             label=mode_label(m),
@@ -157,7 +155,7 @@ def run_dataset(dataset: Dataset, config: SimConfig) -> list[ModeTrace]:
             mono_upper=np.zeros(shape) if mono else None,
             inconsistent=np.zeros(N, dtype=int),
         )
-        for m in config.modes
+        for m in spec.modes
     ]
     samples = zip(dataset.X, dataset.y.tolist(), dataset.v_low.tolist(),
                   dataset.v_high.tolist(), drifts)
@@ -282,19 +280,13 @@ def lambda_sweep(config: SimConfig, lambdas) -> SweepResult:
 
     Monotonic refinement is forced on; the reported width is the
     across-run average of the final refined box width, componentwise.
+    Every per-lambda study is configured, and so checked, before any runs.
     """
     lambdas = tuple(float(l) for l in lambdas)
-    rows = []
-    for lam in lambdas:
-        res = run_experiment(replace(config, lam=lam, monotonic=True))
-        for avg in res.averages:
-            rows.append(
-                SweepRow(
-                    lam=lam,
-                    label=avg.label,
-                    final_width=avg.mono_upper[-1] - avg.mono_lower[-1],
-                )
-            )
+    studies = [replace(config, lam=lam, monotonic=True) for lam in lambdas]
+    rows = [SweepRow(lam=study.lam, label=avg.label,
+                     final_width=avg.mono_upper[-1] - avg.mono_lower[-1])
+            for study in studies for avg in run_experiment(study).averages]
     return SweepResult(config=config, lambdas=lambdas, rows=rows)
 
 
@@ -326,34 +318,19 @@ def write_experiment(result: ExperimentResult, outdir) -> list[str]:
     return paths
 
 
-def estimate_from_csv(
-    input_path,
-    output_path,
-    lam: float,
-    p0_scale: float,
-    prior_radius: float,
-    m=None,
-    monotonic: bool = True,
-):
-    """Run one estimator over a dataset file and write the estimate CSV.
+def estimate_from_csv(input_path, output_path, spec: EstimatorSpec):
+    """Run the spec's one mode over a dataset file and write the estimate CSV.
 
     The estimator variant follows the file: drift columns present means
     the drift-aware recursion.  When the file carries the true
     trajectory, a containment audit summary is appended as comment lines
-    and returned; otherwise returns None.
+    and returned; otherwise returns None.  The output's directory is made
+    only once the run has passed, so a refused input leaves nothing.
     """
+    if len(spec.modes) != 1:
+        raise ValueError(f"estimate_from_csv runs one mode, got modes {spec.modes}")
     dataset = Dataset.from_csv(input_path)
-    config = SimConfig(
-        theta_true=tuple(0.0 for _ in range(dataset.n)),
-        n_a=dataset.n,
-        n_b=0,
-        lam=lam,
-        p0_scale=p0_scale,
-        prior_radius=prior_radius,
-        modes=(m,),
-        monotonic=monotonic,
-    )
-    trace = run_dataset(dataset, config)[0]
+    trace = run_dataset(dataset, spec)[0]
     audit = None
     comments = None
     if dataset.theta_true is not None:
@@ -366,5 +343,6 @@ def estimate_from_csv(
             f"refined_contained={refined} "
             f"inconsistent_steps={audit.inconsistent_steps}"
         ]
+    os.makedirs(os.path.dirname(output_path) or os.curdir, exist_ok=True)
     _write_trace(output_path, trace, comments)
     return audit

@@ -96,6 +96,7 @@ from .intervals import IntervalVector, _box_view, _check_bounds, _halves
 from .rls import RlsConfig, RlsState, rls_init, rls_step
 
 __all__ = [
+    "EstimatorSpec",
     "EstimatorConfig",
     "IntervalEstimate",
     "LtiIntervalEstimator",
@@ -104,6 +105,41 @@ __all__ = [
 # Exact mode's state grows linearly with t; a run longer than this many
 # steps is refused rather than left to exhaust memory.
 MAX_EXACT_HORIZON = 100_000
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """The estimator's settings, apart from the data they run on.
+
+    The reference RLS (forgetting factor lam, P(0) = p0_scale I, theta(0)
+    = 0), the prior box [-prior_radius, prior_radius]^n around theta(0),
+    the radius modes to run (integers for truncation windows, None for
+    exact, each at most once) and whether to refine by running
+    intersection.  Defaults are those of the reference studies.
+    """
+
+    lam: float = 0.99
+    p0_scale: float = 1000.0
+    prior_radius: float = 4.0
+    modes: tuple = (20, 50, None)
+    monotonic: bool = True
+
+    def __post_init__(self):
+        if not 0.0 < self.lam <= 1.0:
+            raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
+        if not 0 < self.p0_scale < math.inf:
+            raise ValueError(f"p0_scale must be finite and positive, got {self.p0_scale}")
+        if not 0 < self.prior_radius < math.inf:
+            raise ValueError(f"prior_radius must be finite and positive, got {self.prior_radius}")
+        modes = tuple(None if m is None else int(m) for m in self.modes)
+        if not modes:
+            raise ValueError("modes must not be empty")
+        for i, m in enumerate(modes):
+            if m is not None and m < 1:
+                raise ValueError(f"truncation window must be >= 1, got {m}")
+            if m in modes[:i]:  # its output file would be written twice
+                raise ValueError(f"mode {'exact' if m is None else m} is given more than once")
+        object.__setattr__(self, "modes", modes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .lti import EstimatorSpec
 
 __all__ = ["SimConfig", "generate_lti", "generate_ltv",
            "REFERENCE_THETA", "REFERENCE_DRIFT_RADIUS", "REFERENCE_LTV"]
@@ -41,14 +42,12 @@ REFERENCE_DRIFT_RADIUS = (0.10, 0.05, 0.04, 0.01)
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Study settings: plant, noise, horizon, and estimator options.
+class SimConfig(EstimatorSpec):
+    """Study settings: the estimator's, plus plant, noise, horizon and runs.
 
-    modes lists the radius recursions to run, integers for truncation
-    windows and None for exact.  drift_radius switches the plant to the
-    time-varying variant.  Defaults reproduce the constant-parameter
-    reference study; REFERENCE_LTV is the drifting one.  Every setting
-    must be finite.
+    drift_radius switches the plant to the time-varying variant.  Defaults
+    reproduce the constant-parameter reference study; REFERENCE_LTV is the
+    drifting one.  Every setting must be finite.
     """
 
     theta_true: tuple = REFERENCE_THETA
@@ -58,11 +57,6 @@ class SimConfig:
     horizon: int = 200
     runs: int = 100
     seed: int = 0
-    lam: float = 0.99
-    p0_scale: float = 1000.0
-    prior_radius: float = 4.0
-    modes: tuple = (20, 50, None)
-    monotonic: bool = True
     drift_radius: tuple | None = None
     drift_period: float = 30.0
     workers: int = 1
@@ -86,21 +80,7 @@ class SimConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
-        if not 0 < self.p0_scale < math.inf:
-            raise ValueError(f"p0_scale must be finite and positive, got {self.p0_scale}")
-        if not 0 < self.prior_radius < math.inf:
-            raise ValueError(f"prior_radius must be finite and positive, got {self.prior_radius}")
-        modes = tuple(None if m is None else int(m) for m in self.modes)
-        if not modes:
-            raise ValueError("modes must not be empty")
-        for i, m in enumerate(modes):
-            if m is not None and m < 1:
-                raise ValueError(f"truncation window must be >= 1, got {m}")
-            if m in modes[:i]:  # its output file would be written twice
-                raise ValueError(f"mode {'exact' if m is None else m} is given more than once")
-        object.__setattr__(self, "modes", modes)
+        super().__post_init__()
         if self.drift_radius is not None:
             dr = tuple(float(v) for v in self.drift_radius)
             if len(dr) != n:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ivrls
-from ivrls import cli, simulate
+from ivrls import cli, experiment, simulate
 from ivrls.cli import main
 from ivrls.simulate import SimConfig, generate_lti
 
@@ -214,6 +214,20 @@ def test_a_non_finite_setting_is_refused_naming_it(command, flag, value, field, 
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # a leaked numpy warning fails the test
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_analyze_pe_refuses_a_bad_p0_scale_naming_it(value, tmp_path, capsys):
+    ds_path, out = tmp_path / "ds.csv", tmp_path / "o"
+    generate_lti(SimConfig(horizon=30), seed=5).to_csv(ds_path)
+    rc = main(["analyze-pe", "--in", str(ds_path), "--out", str(out), "--p0-scale", value])
+    assert rc == 1
+    value = str(float(value))
+    assert capsys.readouterr().err == (
+        f"error: p0_scale must be finite and positive, got {value}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, config, status, error", [
     (["--theta-true", "1,x"], None, 2,
      "argument --theta-true: expected comma-separated floats, got '1,x'"),
@@ -250,6 +264,32 @@ def test_estimate_rejects_bad_dataset(tmp_path, capsys):
     rc = main(["estimate", "--in", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "v_lo" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a missing file and a bad setting are refused before --out is made too
+    rc = main(["estimate", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "missing.csv" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    good = tmp_path / "good.csv"
+    generate_lti(SimConfig(horizon=20), seed=5).to_csv(good)
+    rc = main(["estimate", "--in", str(good), "--out", str(tmp_path / "o"), "--p0-scale", "nan"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: p0_scale must be finite and positive, got nan\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_estimate_builds_no_study_config(tmp_path, monkeypatch, capsys):
+    ds_path = tmp_path / "ds.csv"
+    generate_lti(SimConfig(horizon=20), seed=5).to_csv(ds_path)
+
+    def refuse(self):
+        raise AssertionError("estimate built a SimConfig")
+
+    monkeypatch.setattr(SimConfig, "__post_init__", refuse)
+    out = tmp_path / "est"
+    assert main(["estimate", "--in", str(ds_path), "--out", str(out), "--m", "10"]) == 0
+    assert (out / "estimates.csv").exists()
+    assert "raw=True" in capsys.readouterr().out
 
 
 def test_analyze_pe_subcommand(tmp_path, capsys):
@@ -324,12 +364,34 @@ def test_write_datasets_generates_each_dataset_once(tmp_path, monkeypatch):
     assert sorted(os.listdir(out))[-3:] == [f"dataset_run00{k}.csv" for k in range(3)]
 
 
-def test_sweep_lambda_refuses_write_datasets(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep-lambda", "--seed", "1", "--out", str(tmp_path / "sw"), "--runs", "2",
-              "--horizon", "20", "--lambdas", "0.9,0.99", "--write-datasets"])
-    assert exc.value.code == 2
-    assert not (tmp_path / "sw").exists()
+def test_sweep_lambda_refuses_write_datasets(tmp_path, capsys):
+    # nor the flags and config keys of what it sets itself: lambda and refinement
+    base = ["sweep-lambda", "--seed", "1", "--out", str(tmp_path / "sw"), "--runs", "2",
+            "--horizon", "20", "--lambdas", "0.9,0.99"]
+    for flags in (["--write-datasets"], ["--lambda", "0.5"], ["--monotonic", "false"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*base, *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+    cfg = tmp_path / "sweep.cfg"
+    for key in ("lam", "monotonic"):
+        cfg.write_text(f"{key} = 0.5\n")
+        assert main([*base, "--config", str(cfg)]) == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_lambda_checks_every_lambda_before_any_study(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(experiment, "run_experiment", lambda *a, **k: calls.append(a))
+    out = tmp_path / "sw"
+    rc = main(["sweep-lambda", "--seed", "1", "--out", str(out), "--runs", "2",
+               "--horizon", "20", "--lambdas", "0.9,0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: lam must lie in (0, 1], got 0.0\n"
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, keys", [

@@ -17,7 +17,7 @@ from ivrls.experiment import (
     write_experiment,
 )
 from ivrls.intervals import IntervalVector
-from ivrls.lti import LtiIntervalEstimator
+from ivrls.lti import EstimatorSpec, LtiIntervalEstimator
 from ivrls.simulate import (
     REFERENCE_DRIFT_RADIUS,
     REFERENCE_LTV,
@@ -177,10 +177,9 @@ def test_estimate_from_csv_matches_library_run(tmp_path):
     in_path = tmp_path / "ds.csv"
     out_path = tmp_path / "est.csv"
     ds.to_csv(in_path)
-    audit = estimate_from_csv(
-        in_path, out_path, lam=config.lam, p0_scale=config.p0_scale,
-        prior_radius=config.prior_radius, m=10, monotonic=True,
-    )
+    spec = EstimatorSpec(lam=config.lam, p0_scale=config.p0_scale,
+                         prior_radius=config.prior_radius, modes=(10,), monotonic=True)
+    audit = estimate_from_csv(in_path, out_path, spec)
     assert audit.raw_contained and audit.refined_contained
     # written estimates agree with an in-memory run on the same rows
     trace = run_dataset(ds, config)[0]
@@ -205,10 +204,9 @@ def test_estimate_from_csv_scalar_hand_trace(tmp_path):
         "3,2,1,0,0\n"
     )
     out_path = tmp_path / "est.csv"
-    estimate_from_csv(
-        path, out_path, lam=0.5, p0_scale=1.0, prior_radius=5.0,
-        m=None, monotonic=False,
-    )
+    spec = EstimatorSpec(lam=0.5, p0_scale=1.0, prior_radius=5.0, modes=(None,),
+                         monotonic=False)
+    estimate_from_csv(path, out_path, spec)
     rows = [l.split(",") for l in out_path.read_text().splitlines()[1:]]
     theta = [float(r[1]) for r in rows]
     radius = [float(r[3]) for r in rows]
@@ -223,9 +221,8 @@ def test_estimate_from_csv_without_truth_returns_none(tmp_path):
     ds.v = None
     in_path = tmp_path / "ds.csv"
     ds.to_csv(in_path)
-    audit = estimate_from_csv(
-        in_path, tmp_path / "est.csv", lam=0.99, p0_scale=1000.0, prior_radius=4.0
-    )
+    spec = EstimatorSpec(lam=0.99, p0_scale=1000.0, prior_radius=4.0, modes=(None,))
+    audit = estimate_from_csv(in_path, tmp_path / "est.csv", spec)
     assert audit is None
 
 
@@ -236,11 +233,17 @@ def test_estimate_from_csv_uses_ltv_when_drift_columns_present(tmp_path):
     ds = generate_ltv(config, seed=5)
     in_path = tmp_path / "ds.csv"
     ds.to_csv(in_path)
-    audit = estimate_from_csv(
-        in_path, tmp_path / "est.csv", lam=0.1, p0_scale=1000.0,
-        prior_radius=4.0, m=5,
-    )
+    spec = EstimatorSpec(lam=0.1, p0_scale=1000.0, prior_radius=4.0, modes=(5,))
+    audit = estimate_from_csv(in_path, tmp_path / "est.csv", spec)
     assert audit.raw_contained and audit.refined_contained
+
+
+def test_estimate_from_csv_refuses_more_than_one_mode(tmp_path):
+    out_path = tmp_path / "o" / "est.csv"
+    with pytest.raises(ValueError,
+                       match=r"^estimate_from_csv runs one mode, got modes \(5, None\)$"):
+        estimate_from_csv(tmp_path / "missing.csv", out_path, EstimatorSpec(modes=(5, None)))
+    assert not out_path.parent.exists()
 
 
 def test_sweep_csv_layout(tmp_path):

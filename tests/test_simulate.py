@@ -1,10 +1,11 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from ivrls.lti import EstimatorSpec
 from ivrls.simulate import (
     REFERENCE_DRIFT_RADIUS,
     REFERENCE_LTV,
@@ -55,10 +56,18 @@ nan, inf = math.nan, math.inf
     (dict(drift_period=0.0), "drift_period must be finite and positive, got 0.0"),
     (dict(drift_period=nan), "drift_period must be finite and positive, got nan"),
     (dict(workers=0), "workers must be >= 1, got 0"),
+    (dict(lam=0.0), "lam must lie in (0, 1], got 0.0"),
+    (dict(lam=nan), "lam must lie in (0, 1], got nan"),
+    (dict(modes=(5, 0)), "truncation window must be >= 1, got 0"),
+    (dict(modes=(5, None, 5)), "mode 5 is given more than once"),
 ])
 def test_a_setting_out_of_range_or_not_finite_is_refused_naming_it(settings, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SimConfig(**settings)
+    # the estimator's own settings are checked by its spec, with the same words
+    if set(settings) <= {f.name for f in fields(EstimatorSpec)}:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EstimatorSpec(**settings)
 
 
 def test_same_seed_is_bitwise_reproducible():
