@@ -208,13 +208,19 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_analyze_pe(args) -> int:
     spec = EstimatorSpec(lam=args.lam, p0_scale=args.p0_scale)
+    window = args.window
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     dataset = Dataset.from_csv(args.input)
+    if window is not None and window > dataset.N:
+        raise ValueError(f"window must be at most the {dataset.N} samples of the dataset, "
+                         f"got {window}")
     noise_radius = np.maximum(np.abs(dataset.v_low), np.abs(dataset.v_high))
     report = analyze(
         dataset.X,
         lam=spec.lam,
         P0=spec.p0_scale * np.eye(dataset.n),
-        T=args.window,
+        T=window,
         noise_radius=noise_radius,
     )
     os.makedirs(args.out, exist_ok=True)

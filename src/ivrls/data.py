@@ -210,6 +210,8 @@ class Dataset:
                 raise ValueError(f"{path}: empty file")
             header = [h.strip() for h in first[1].split(",")]
             names, slices = _header_fields(path, header)
+            if N == 0:
+                raise ValueError(f"{path}: no data rows")
             pick = itemgetter(*map(header.index, names))
             data = np.empty((N, len(names)))
             linenos = np.empty(N, dtype=int)

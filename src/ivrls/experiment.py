@@ -166,8 +166,8 @@ def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
             trace.lower[i] = est_out.lower
             trace.upper[i] = est_out.upper
             if mono:
-                trace.mono_lower[i] = est_out.refined_lower
-                trace.mono_upper[i] = est_out.refined_upper
+                trace.mono_lower[i] = est_out.refined.lower
+                trace.mono_upper[i] = est_out.refined.upper
             trace.inconsistent[i] = est_out.inconsistent
         point[i] = est_out.point  # the same for every mode: read off the shared stage
     for trace in traces:
@@ -280,9 +280,13 @@ def lambda_sweep(config: SimConfig, lambdas) -> SweepResult:
 
     Monotonic refinement is forced on; the reported width is the
     across-run average of the final refined box width, componentwise.
-    Every per-lambda study is configured, and so checked, before any runs.
+    Every per-lambda study is configured, and so checked, before any runs;
+    a lambda given twice is refused.
     """
     lambdas = tuple(float(l) for l in lambdas)
+    for i, lam in enumerate(lambdas):
+        if lam in lambdas[:i]:  # its rows would be written twice
+            raise ValueError(f"lambda {lam:g} is given more than once")
     studies = [replace(config, lam=lam, monotonic=True) for lam in lambdas]
     rows = [SweepRow(lam=study.lam, label=avg.label,
                      final_width=avg.mono_upper[-1] - avg.mono_lower[-1])

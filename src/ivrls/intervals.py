@@ -11,8 +11,10 @@ read-only so instances can be shared freely.
 
 `IntervalVector(lower, upper)` copies and checks its bounds.  `_box_view`
 wraps bounds that a caller has already made read-only and checked, as
-they are: an estimator step checks its bounds once, in the pass that
-refines them, and its boxes are views of those arrays.
+they are.  It builds only refined boxes: an estimator step checks its
+bounds once, in the pass that refines them, and wraps the new refined
+box when that pass cuts a side.  A step's estimate is an IntervalVector
+of its own raw bounds, filled in the same way.
 """
 
 from __future__ import annotations

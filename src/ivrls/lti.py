@@ -62,10 +62,11 @@ window adds O(n w m) for its sum and an amortized O(n^3) for its anchor
 Phi(t,t-m).  A standalone estimator is a stage of one; a Monte Carlo
 study builds every mode of a run on one stage and steps them sample-major.
 
-An estimate carries its bounds as read-only arrays, checked against the
-box contract by the step's one pass over them, which also refines them;
-its IntervalVector boxes `raw` and `refined` are built on first read as
-views of those arrays, without a second copy or check.
+An estimate is its raw box: an IntervalVector whose read-only bounds the
+step checked against the box contract once, in the pass that also
+refines them, so a step makes no second copy or check.  Its refined box
+is the estimator's running one, the same object for as long as no side
+of it is cut.
 
 An optional monotonic post-processor intersects each instantaneous box
 with the running one.  A constant parameter lies in all of them; a
@@ -170,63 +171,28 @@ class EstimatorConfig:
             object.__setattr__(self, "m", m)
 
 
-class _Box:
-    """An estimate's box of the bounds named `lower` and `upper`, None when
-    they are.  Built on first read and stored in the estimate's own dict,
-    where later reads find it without calling this descriptor; no lock, so
-    two threads reading at once may each build one of the same bounds.
-
-    An estimate that a step made (`_checked` set) gets a `_box_view` of
-    its bounds, which the step checked; any other gets a checked copy.
-    """
-
-    def __init__(self, lower: str, upper: str):
-        self.lower, self.upper = lower, upper
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, est, owner=None):
-        if est is None:
-            return self
-        fields = est.__dict__
-        lower = fields[self.lower]
-        if lower is None:
-            box = None
-        elif "_checked" in fields:
-            box = _box_view(lower, fields[self.upper])
-        else:
-            box = IntervalVector(lower, fields[self.upper])
-        fields[self.name] = box
-        return box
-
-
 @dataclass(frozen=True, eq=False)
-class IntervalEstimate:
-    """One time step of estimator output.
+class IntervalEstimate(IntervalVector):
+    """One time step of estimator output: the propagated box itself.
 
-    lower and upper bound the propagated box; refined_lower and
-    refined_upper the monotonic intersection (None when disabled).  Once
-    inconsistent is set, the refined bounds are frozen at the last
-    consistent box and stay flagged.  The arrays are read-only and may be
-    shared with other estimates: refined bounds are the same arrays for
-    as long as they do not change.  raw and refined are the same bounds
-    as IntervalVector boxes, built on first read.  The boxes of a step's
-    estimate are views of its arrays, which the step checked once; an
-    estimate from this constructor or `dataclasses.replace` gets boxes
-    that copy and check its bounds.
+    Its own lower and upper bound the propagated box, and `raw` is the
+    estimate itself.  refined is the monotonic intersection (None when
+    disabled); once inconsistent is set it is frozen at the last
+    consistent box and stays flagged.  Every bound is a read-only array;
+    the refined box is the same object for as long as it does not change.
+    A step's estimate holds the bounds it checked, as they are; one from
+    this constructor or `dataclasses.replace` copies and checks its own
+    lower and upper, as every IntervalVector does.
     """
 
     t: int
     point: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    refined_lower: np.ndarray | None
-    refined_upper: np.ndarray | None
+    refined: IntervalVector | None
     inconsistent: bool
 
-    raw = _Box("lower", "upper")
-    refined = _Box("refined_lower", "refined_upper")
+    @property
+    def raw(self) -> IntervalVector:
+        return self
 
 
 @lru_cache(maxsize=None)
@@ -243,17 +209,18 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
-def _refine(bounds, lower, upper, drift):
+def _refine(box, lower, upper, drift):
     """One step of the running intersection, in one scalar pass that also
     checks the raw bounds against the box contract.
 
-    bounds is the (lower, upper) pair carried so far; drift, a drift box
-    as (lower, upper) float lists, translates it first.  Returns the new
-    pair, or None if it is empty in some component.  A tie goes to the raw
+    box is the refined box carried so far; drift, a drift box as (lower,
+    upper) float lists, translates it first.  Returns the new refined box,
+    or None if it is empty in some component.  A tie goes to the raw
     bound, as in np.maximum and np.minimum (the sign of a zero).  Only a
-    side that changes is a new array: no cut, no drift, `bounds` returns.
+    side that changes is a new array, in a new box: no cut, no drift,
+    `box` returns.
     """
-    lo, hi = bounds
+    lo, hi = box.lower, box.upper
     los, his = lo.tolist(), hi.tolist()
     if drift is not None:
         (dlo, dhi), lo, hi = drift, None, None
@@ -272,8 +239,8 @@ def _refine(bounds, lower, upper, drift):
     if empty:
         return None
     if lo is not None and hi is not None:
-        return bounds
-    return (_frozen(los) if lo is None else lo, _frozen(his) if hi is None else hi)
+        return box
+    return _box_view(_frozen(los) if lo is None else lo, _frozen(his) if hi is None else hi)
 
 
 class _RadiusRecursion:
@@ -472,7 +439,7 @@ class LtiIntervalEstimator:
         self._identifier = _Identifier(config.rls, config.theta_prior, (config.m,))
         self._t = 0
         self._engine = _RadiusRecursion(config.rls.n, config.m)
-        self._mono = (config.theta_prior.lower, config.theta_prior.upper)
+        self._refined = config.theta_prior
         self._inconsistent = False
 
     @property
@@ -519,19 +486,18 @@ class LtiIntervalEstimator:
         try:
             if monotonic and not self._inconsistent:
                 drift = None if drift is None else stage.drift_bounds
-                bounds = _refine(self._mono, lower, upper, drift)
-                self._inconsistent = bounds is None
-                self._mono = bounds or self._mono
+                refined = _refine(self._refined, lower, upper, drift)
+                self._inconsistent = refined is None
+                self._refined = refined or self._refined
             else:
                 _check_bounds(lower, upper)
         except ValueError as exc:
             raise ValueError(f"step {t + 1}: {exc}") from None
-        refined_lower, refined_upper = self._mono if monotonic else (None, None)
-        # what IntervalEstimate(...) builds, plus the flag for view boxes
+        # what IntervalEstimate(...) builds, without its copy and check
         out = object.__new__(IntervalEstimate)
-        out.__dict__.update(t=t + 1, point=stage.point, lower=lower, upper=upper,
-                            refined_lower=refined_lower, refined_upper=refined_upper,
-                            inconsistent=self._inconsistent, _checked=True)
+        out.__dict__.update(lower=lower, upper=upper, t=t + 1, point=stage.point,
+                            refined=self._refined if monotonic else None,
+                            inconsistent=self._inconsistent)
         return out
 
 

@@ -80,6 +80,8 @@ class SimConfig(EstimatorSpec):
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         super().__post_init__()
         if self.drift_radius is not None:
             dr = tuple(float(v) for v in self.drift_radius)

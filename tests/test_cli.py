@@ -214,6 +214,38 @@ def test_a_non_finite_setting_is_refused_naming_it(command, flag, value, field, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate-lti", "simulate-ltv", "sweep-lambda"])
+def test_a_negative_seed_is_refused_before_anything_is_written(command, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = [command, "--seed", "-1", "--out", str(out), "--runs", "1", "--horizon", "10"]
+    rc = main(argv + (["--lambdas", "0.9"] if command == "sweep-lambda" else []))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window, error", [
+    ("0", "window must be >= 1, got 0"),
+    ("-3", "window must be >= 1, got -3"),
+    ("31", "window must be at most the 30 samples of the dataset, got 31"),
+    ("100000", "window must be at most the 30 samples of the dataset, got 100000"),
+])
+def test_analyze_pe_refuses_a_bad_window_naming_it(window, error, tmp_path, capsys):
+    ds_path, out = tmp_path / "ds.csv", tmp_path / "o"
+    generate_lti(SimConfig(horizon=30), seed=5).to_csv(ds_path)
+    rc = main(["analyze-pe", "--in", str(ds_path), "--out", str(out), "--window", window])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+    if int(window) < 1:
+        # refused before the file is read
+        missing = str(tmp_path / "missing.csv")
+        assert main(["analyze-pe", "--in", missing, "--out", str(out), "--window", window]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+    # the whole dataset is a window
+    assert main(["analyze-pe", "--in", str(ds_path), "--out", str(out), "--window", "30"]) == 0
+
+
 @pytest.mark.filterwarnings("error")  # a leaked numpy warning fails the test
 @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
 def test_analyze_pe_refuses_a_bad_p0_scale_naming_it(value, tmp_path, capsys):
@@ -264,6 +296,12 @@ def test_estimate_rejects_bad_dataset(tmp_path, capsys):
     rc = main(["estimate", "--in", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "v_lo" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # so is a header with no samples under it
+    bad.write_text("t,y,x_1,v_lo,v_hi\n")
+    rc = main(["estimate", "--in", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: no data rows\n"
     assert not (tmp_path / "o").exists()
     # a missing file and a bad setting are refused before --out is made too
     rc = main(["estimate", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")])
@@ -390,6 +428,20 @@ def test_sweep_lambda_checks_every_lambda_before_any_study(tmp_path, monkeypatch
                "--horizon", "20", "--lambdas", "0.9,0"])
     assert rc == 1
     assert capsys.readouterr().err == "error: lam must lie in (0, 1], got 0.0\n"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lambdas, shown", [("0.5,0.5", "0.5"), ("0.9,0.5,0.90", "0.9")])
+def test_sweep_lambda_refuses_a_repeated_lambda_before_any_study(lambdas, shown, tmp_path,
+                                                                 monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(experiment, "run_experiment", lambda *a, **k: calls.append(a))
+    out = tmp_path / "sw"
+    rc = main(["sweep-lambda", "--seed", "1", "--out", str(out), "--runs", "2",
+               "--horizon", "20", "--lambdas", lambdas])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: lambda {shown} is given more than once\n"
     assert calls == []
     assert not out.exists()
 

@@ -349,6 +349,7 @@ def _estimates(**kwargs):
     (_estimates(mono_lower=np.zeros((2, 1))),
      "mono_lower and mono_upper must be given together"),
     (_estimates(center=np.zeros((3, 1))), "c must have shape (2, 1), got (3, 1)"),
+    (_read("t,y,x_1,v_lo,v_hi\n# no samples\n"), "{path}: no data rows"),
 ])
 def test_a_malformed_table_is_refused_with_its_cause(call, message, tmp_path):
     path = tmp_path / "table.csv"

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -358,8 +359,8 @@ def test_run_dataset_honours_every_drift_row(edited, monkeypatch):
     assert len(built) == boxes
     for trace, outs in zip(traces, stepped_with_a_box_per_row(ds, config)):
         for field, attr in (("lower", "lower"), ("upper", "upper"), ("point", "point"),
-                            ("mono_lower", "refined_lower"), ("mono_upper", "refined_upper")):
-            expected = np.stack([getattr(out, attr) for out in outs])
+                            ("mono_lower", "refined.lower"), ("mono_upper", "refined.upper")):
+            expected = np.stack([attrgetter(attr)(out) for out in outs])
             assert getattr(trace, field).tobytes() == expected.tobytes(), field
         assert trace.inconsistent.tolist() == [int(out.inconsistent) for out in outs]
     # and both honour each row's box: the exact hull of the affine error

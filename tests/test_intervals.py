@@ -122,13 +122,13 @@ def test_tightest_image_contains_sampled_points():
 def intersect(a, b, drift=None):
     if drift is not None:
         drift = drift.lower.tolist(), drift.upper.tolist()
-    return _refine((a.lower, a.upper), b.lower, b.upper, drift)
+    return _refine(a, b.lower, b.upper, drift)
 
 
 def test_intersect_overlap():
-    lo, hi = intersect(IntervalVector([0.0], [2.0]), IntervalVector([1.0], [3.0]))
-    np.testing.assert_array_equal(lo, [1.0])
-    np.testing.assert_array_equal(hi, [2.0])
+    box = intersect(IntervalVector([0.0], [2.0]), IntervalVector([1.0], [3.0]))
+    np.testing.assert_array_equal(box.lower, [1.0])
+    np.testing.assert_array_equal(box.upper, [2.0])
 
 
 def test_intersect_disjoint_reports_components():
@@ -139,8 +139,8 @@ def test_intersect_disjoint_reports_components():
 
 
 def test_intersect_touching_is_degenerate_not_empty():
-    lo, hi = intersect(IntervalVector([0.0], [1.0]), IntervalVector([1.0], [2.0]))
-    np.testing.assert_array_equal(lo, hi)
+    box = intersect(IntervalVector([0.0], [1.0]), IntervalVector([1.0], [2.0]))
+    np.testing.assert_array_equal(box.lower, box.upper)
 
 
 def test_intersect_algebra():
@@ -153,23 +153,23 @@ def test_intersect_algebra():
         ba = intersect(b, a)
         assert (ab is None) == (ba is None)
         if ab is not None:
-            np.testing.assert_array_equal(ab[0], ba[0])
-            np.testing.assert_array_equal(ab[1], ba[1])
-        lo, hi = intersect(a, a)
-        np.testing.assert_array_equal(lo, a.lower)
-        np.testing.assert_array_equal(hi, a.upper)
+            np.testing.assert_array_equal(ab.lower, ba.lower)
+            np.testing.assert_array_equal(ab.upper, ba.upper)
+        aa = intersect(a, a)
+        np.testing.assert_array_equal(aa.lower, a.lower)
+        np.testing.assert_array_equal(aa.upper, a.upper)
 
 
 def test_translate():
     # a drift box shifts the carried bounds before intersecting
     box = IntervalVector([-1.0, 0.0], [1.0, 2.0])
     wide = IntervalVector([-100.0, -100.0], [100.0, 100.0])
-    lo, hi = intersect(box, wide, drift=IntervalVector([10.0, -1.0], [10.0, -1.0]))
-    np.testing.assert_array_equal(lo, [9.0, -1.0])
-    np.testing.assert_array_equal(hi, [11.0, 1.0])
-    lo, hi = intersect(box, wide, drift=IntervalVector([-0.5, 0.0], [0.25, 0.0]))
-    np.testing.assert_array_equal(lo, [-1.5, 0.0])
-    np.testing.assert_array_equal(hi, [1.25, 2.0])
+    moved = intersect(box, wide, drift=IntervalVector([10.0, -1.0], [10.0, -1.0]))
+    np.testing.assert_array_equal(moved.lower, [9.0, -1.0])
+    np.testing.assert_array_equal(moved.upper, [11.0, 1.0])
+    moved = intersect(box, wide, drift=IntervalVector([-0.5, 0.0], [0.25, 0.0]))
+    np.testing.assert_array_equal(moved.lower, [-1.5, 0.0])
+    np.testing.assert_array_equal(moved.upper, [1.25, 2.0])
 
 
 def test_contains_boundary_and_slack():

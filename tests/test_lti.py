@@ -153,14 +153,14 @@ def test_vertex_oracle_refuses_large_enumeration():
 
 
 def test_monotonic_update_examples():
-    lo, hi = _refine((np.array([0.0]), np.array([2.0])), np.array([1.0]), np.array([3.0]), None)
-    assert (lo[0], hi[0]) == (1.0, 2.0)
+    box = _refine(IntervalVector([0.0], [2.0]), np.array([1.0]), np.array([3.0]), None)
+    assert (box.lower[0], box.upper[0]) == (1.0, 2.0)
     assert _refine(
-        (np.array([0.0]), np.array([1.0])), np.array([2.0]), np.array([3.0]), None
+        IntervalVector([0.0], [1.0]), np.array([2.0]), np.array([3.0]), None
     ) is None
     # refinement never widens
-    lo, hi = _refine((np.array([0.5]), np.array([0.8])), np.array([0.0]), np.array([2.0]), None)
-    assert (lo[0], hi[0]) == (0.5, 0.8)
+    box = _refine(IntervalVector([0.5], [0.8]), np.array([0.0]), np.array([2.0]), None)
+    assert (box.lower[0], box.upper[0]) == (0.5, 0.8)
 
 
 def test_monotonic_widths_never_increase():
@@ -479,7 +479,7 @@ def test_exact_horizon_refusal_on_a_shared_stage_changes_no_mode(monkeypatch):
     stage, windowed = ests[0]._identifier, ests[0]._engine
     state, center, abs_rows = stage.state, stage.center, stage.abs_rows.copy()
     ring, stacks, top = list(windowed.radius_ring), windowed.stacks.copy(), windowed._top
-    monos = [est._mono for est in ests]
+    refined = [est._refined for est in ests]
     # the stage keeps the full history for exact mode, so it refuses the
     # sample whichever mode steps first
     for est in ests + ests[::-1]:
@@ -490,7 +490,7 @@ def test_exact_horizon_refusal_on_a_shared_stage_changes_no_mode(monkeypatch):
     assert stage.abs_rows[:5].tobytes() == abs_rows[:5].tobytes()
     assert list(windowed.radius_ring) == ring and windowed._top == top
     assert windowed.stacks.tobytes() == stacks.tobytes()
-    assert [est._mono for est in ests] == monos and not any(e.inconsistent for e in ests)
+    assert [est._refined for est in ests] == refined and not any(e.inconsistent for e in ests)
 
 
 def test_shared_identifier_steps_rls_once_per_sample(monkeypatch):
@@ -541,27 +541,20 @@ def test_radius_overflow_fails_fast_naming_step_and_window(seed):
         assert last.t == 1938 and np.abs(last.upper).max() > 1e308
 
 
-def test_estimate_arrays_are_read_only_and_the_boxes_built_on_read():
+def test_every_bound_of_an_estimate_is_read_only():
     ds = generate_lti(SimConfig(horizon=40, seed=30), seed=30)
     for monotonic in (True, False):
         _, outs = run_on(ds, make_config(m=5, monotonic=monotonic))
         for out in outs:
             arrays = [out.point, out.lower, out.upper]
             if monotonic:
-                arrays += [out.refined_lower, out.refined_upper]
+                arrays += [out.refined.lower, out.refined.upper]
             else:
-                assert out.refined_lower is None and out.refined_upper is None
                 assert out.refined is None
             for arr in arrays:
                 assert not arr.flags.writeable
-            raw = out.raw
-            assert raw is out.raw
-            assert raw.lower.tobytes() == out.lower.tobytes()
-            assert raw.upper.tobytes() == out.upper.tobytes()
-            if monotonic:
-                assert out.refined is out.refined
-                assert out.refined.lower.tobytes() == out.refined_lower.tobytes()
-                assert out.refined.upper.tobytes() == out.refined_upper.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
 
 
 def test_per_step_dataclasses_stay_frozen_dataclasses():
@@ -577,29 +570,33 @@ def test_per_step_dataclasses_stay_frozen_dataclasses():
                 setattr(obj, name, getattr(obj, name))
         copy = dataclasses.replace(obj)
         assert type(copy) is type(obj)
-        assert all(getattr(copy, name) is getattr(obj, name) for name in names)
+        kept = [name for name in names if getattr(copy, name) is getattr(obj, name)]
+        # an estimate copies its own bounds, as every IntervalVector does
+        assert kept == (names[2:] if obj is out else names)
     assert dataclasses.replace(est.rls_state, t=7).t == 7
-    raw = out.raw
-    assert out.raw is raw and vars(out)["raw"] is raw
-    # a replaced estimate builds its own box from its own bounds
+    assert names == ["lower", "upper", "t", "point", "refined", "inconsistent"]
+    assert isinstance(out, IntervalVector) and out.raw is out
     moved = dataclasses.replace(out, lower=out.lower - 1.0)
-    assert moved.raw is not raw
-    assert moved.raw.lower.tobytes() == (out.lower - 1.0).tobytes()
+    assert moved.raw is moved
+    assert moved.lower.tobytes() == (out.lower - 1.0).tobytes()
 
 
-def test_reading_a_box_calls_the_module_level_interval_vector(monkeypatch):
+def test_a_step_builds_a_box_only_where_refinement_cuts(monkeypatch):
     made = []
 
     def counted(lower, upper):
         made.append(1)
         return _box_view(lower, upper)
 
-    est = LtiIntervalEstimator(make_config(n=2, monotonic=True))
     monkeypatch.setattr(lti, "_box_view", counted)
-    out = est.step([1.0, 0.5], 0.2, -0.1, 0.1)
-    assert made == []
-    assert out.raw is out.raw and out.refined is out.refined
-    assert made == [1, 1]
+    ds = generate_lti(SimConfig(horizon=60, seed=32), seed=32)
+    est, outs = run_on(ds, make_config(m=5, monotonic=True))
+    before = [est.config.theta_prior] + [out.refined for out in outs[:-1]]
+    cuts = sum(out.refined is not prev for prev, out in zip(before, outs))
+    assert len(made) == cuts and 0 < cuts < len(outs)
+    # reading an estimate's boxes builds none
+    assert all(out.raw is out and out.refined is out.refined for out in outs)
+    assert len(made) == cuts
 
 
 def stepped_estimates(monotonic, drifting):
@@ -618,17 +615,18 @@ def stepped_estimates(monotonic, drifting):
 @pytest.mark.parametrize("monotonic", [False, True])
 def test_boxes_of_a_step_are_views_of_its_checked_bounds(monotonic, drifting):
     for out in stepped_estimates(monotonic, drifting):
-        pairs = [(out.raw, out.lower, out.upper)]
+        assert out.raw is out and isinstance(out, IntervalVector)
+        # the step's fields and nothing else: no cached box, no flag
+        assert list(vars(out)) == [f.name for f in dataclasses.fields(out)]
+        boxes = [out]
         if monotonic:
-            pairs.append((out.refined, out.refined_lower, out.refined_upper))
+            assert type(out.refined) is IntervalVector
+            boxes.append(out.refined)
         else:
-            assert out.refined is None and vars(out)["refined"] is None
-        for box, lower, upper in pairs:
-            assert type(box) is IntervalVector
-            assert box.lower is lower and box.upper is upper
+            assert out.refined is None
+        for box in boxes:
             assert not box.lower.flags.writeable and not box.upper.flags.writeable
             _check_bounds(box.lower, box.upper)
-        assert vars(out)["raw"] is out.raw
 
 
 @pytest.mark.parametrize("drifting", [False, True])
@@ -636,34 +634,22 @@ def test_boxes_of_a_step_are_views_of_its_checked_bounds(monotonic, drifting):
 def test_boxes_of_other_estimates_copy_and_check_their_bounds(monotonic, drifting):
     for out in stepped_estimates(monotonic, drifting)[::10]:
         fields = {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
-        writeable = dict(fields)
-        for name in ("lower", "upper", "refined_lower", "refined_upper"):
-            if fields[name] is not None:
-                writeable[name] = fields[name].copy()
+        writeable = dict(fields, lower=out.lower.copy(), upper=out.upper.copy())
         for other in (dataclasses.replace(out), lti.IntervalEstimate(**fields),
                       lti.IntervalEstimate(**writeable)):
-            pairs = [(other.raw, other.lower, other.upper)]
-            if monotonic:
-                pairs.append((other.refined, other.refined_lower, other.refined_upper))
-            else:
-                assert other.refined is None
-            for box, lower, upper in pairs:
-                assert box.lower is not lower and box.upper is not upper
-                assert box.lower.tobytes() == lower.tobytes()
-                assert box.upper.tobytes() == upper.tobytes()
-                assert not box.lower.flags.writeable and not box.upper.flags.writeable
-            assert vars(other)["raw"] is other.raw
-        # the box of writeable bounds is a copy that later writes leave alone
-        box = lti.IntervalEstimate(**writeable).raw
+            assert other.raw is other and other.refined is out.refined
+            for mine, given in ((other.lower, out.lower), (other.upper, out.upper)):
+                assert mine is not given and mine.tobytes() == given.tobytes()
+                assert not mine.flags.writeable
+        # the bounds of writeable arrays are copies that later writes leave alone
+        other = lti.IntervalEstimate(**writeable)
         writeable["lower"][0] -= 1.0
-        assert box.lower.tobytes() == out.lower.tobytes()
-        inverted = dataclasses.replace(out, lower=out.upper + 1.0)
+        assert other.lower.tobytes() == out.lower.tobytes()
+        # inverted bounds are refused when the estimate is built, not when read
         with pytest.raises(ValueError, match="bound inversion"):
-            inverted.raw
-        if monotonic:
-            inverted = dataclasses.replace(out, refined_upper=out.refined_lower - 1.0)
-            with pytest.raises(ValueError, match="bound inversion"):
-                inverted.refined
+            dataclasses.replace(out, lower=out.upper + 1.0)
+        with pytest.raises(ValueError, match="bound inversion"):
+            lti.IntervalEstimate(**dict(fields, upper=out.lower - 1.0))
 
 
 def test_refined_arrays_are_shared_while_unchanged():
@@ -671,32 +657,38 @@ def test_refined_arrays_are_shared_while_unchanged():
     _, outs = run_on(ds, make_config(m=20, monotonic=True))
     kept = changed = 0
     for prev, out in zip(outs, outs[1:]):
-        same = np.array_equal(prev.refined_lower, out.refined_lower) and np.array_equal(
-            prev.refined_upper, out.refined_upper)
-        if same:
-            assert out.refined_lower is prev.refined_lower
-            assert out.refined_upper is prev.refined_upper
+        same = [np.array_equal(getattr(prev.refined, side), getattr(out.refined, side))
+                for side in ("lower", "upper")]
+        if all(same):
+            assert out.refined is prev.refined
             kept += 1
         else:
+            # a new box, which keeps the array of a side that is not cut
+            assert out.refined is not prev.refined
+            for side, unchanged in zip(("lower", "upper"), same):
+                if unchanged:
+                    assert getattr(out.refined, side) is getattr(prev.refined, side)
             changed += 1
     assert kept > 100 and changed > 10
 
 
 def test_refine_returns_the_carried_pair_when_nothing_is_cut():
-    bounds = (np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
-    assert _refine(bounds, np.array([-2.0, -1.0]), np.array([2.0, 3.0]), None) is bounds
-    # a cut in one component gives new arrays
-    lo, hi = _refine(bounds, np.array([-2.0, 0.5]), np.array([2.0, 3.0]), None)
-    assert lo.tolist() == [-1.0, 0.5] and hi.tolist() == [1.0, 2.0]
-    assert lo is not bounds[0]
-    # with a drift box's bound lists, the translated pair itself when nothing is cut
+    box = IntervalVector([-1.0, 0.0], [1.0, 2.0])
+    assert _refine(box, np.array([-2.0, -1.0]), np.array([2.0, 3.0]), None) is box
+    # a cut in one component gives a new box with a new array for that side
+    cut = _refine(box, np.array([-2.0, 0.5]), np.array([2.0, 3.0]), None)
+    assert type(cut) is IntervalVector
+    assert cut.lower.tolist() == [-1.0, 0.5] and cut.upper.tolist() == [1.0, 2.0]
+    assert cut.lower is not box.lower and cut.upper is box.upper
+    assert not cut.lower.flags.writeable
+    # with a drift box's bound lists, the translated box itself when nothing is cut
     drift = ([-0.5, 0.0], [0.5, 0.25])
-    lo, hi = _refine(bounds, np.array([-2.0, -1.0]), np.array([2.0, 3.0]), drift)
-    assert lo.tolist() == [-1.5, 0.0] and hi.tolist() == [1.5, 2.25]
+    moved = _refine(box, np.array([-2.0, -1.0]), np.array([2.0, 3.0]), drift)
+    assert moved.lower.tolist() == [-1.5, 0.0] and moved.upper.tolist() == [1.5, 2.25]
     # a raw bound equal to the carried one is taken as np.maximum and
     # np.minimum give it: the raw bound, whose zero may have another sign
-    lo, hi = _refine((np.array([-0.0]), np.array([1.0])), np.array([0.0]), np.array([2.0]), None)
-    assert not np.signbit(lo[0])
+    tie = _refine(IntervalVector([-0.0], [1.0]), np.array([0.0]), np.array([2.0]), None)
+    assert not np.signbit(tie.lower[0])
 
 
 def test_step_checks_the_raw_box_contract():

@@ -95,8 +95,8 @@ def test_a_refused_drifting_step_leaves_the_refinement_untranslated():
     expected = run()
     for refuse_at in (0, 3):
         for out, ref in zip(run(refuse_at), expected):
-            assert out.refined_lower.tobytes() == ref.refined_lower.tobytes()
-            assert out.refined_upper.tobytes() == ref.refined_upper.tobytes()
+            assert out.refined.lower.tobytes() == ref.refined.lower.tobytes()
+            assert out.refined.upper.tobytes() == ref.refined.upper.tobytes()
 
 
 def test_zero_drift_reduces_to_lti():

@@ -60,6 +60,7 @@ nan, inf = math.nan, math.inf
     (dict(lam=nan), "lam must lie in (0, 1], got nan"),
     (dict(modes=(5, 0)), "truncation window must be >= 1, got 0"),
     (dict(modes=(5, None, 5)), "mode 5 is given more than once"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
 ])
 def test_a_setting_out_of_range_or_not_finite_is_refused_naming_it(settings, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
