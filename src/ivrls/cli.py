@@ -30,6 +30,7 @@ from .experiment import (
     lambda_sweep,
     run_experiment,
     write_experiment,
+    write_sweep,
 )
 from .lti import EstimatorSpec
 from .pe import analyze
@@ -177,12 +178,9 @@ def _cmd_simulate(args, ltv: bool) -> int:
     result = run_experiment(config, dataset_dir=args.out if args.write_datasets else None)
     paths = write_experiment(result, args.out)
     written = len(paths) + (config.runs if args.write_datasets else 0)
-    for avg in result.averages:
-        width = (avg.mono_upper if config.monotonic else avg.upper)[-1] - (
-            avg.mono_lower if config.monotonic else avg.lower
-        )[-1]
-        joined = ", ".join(format(w, ".6g") for w in width)
-        print(f"{avg.label}: final averaged width [{joined}]")
+    for label, avg in result.averages.items():
+        joined = ", ".join(format(w, ".6g") for w in avg.final_width)
+        print(f"{label}: final averaged width [{joined}]")
     ok = result.all_contained
     print(f"containment audit over {config.runs} runs: {'PASS' if ok else 'FAIL'}")
     print(f"wrote {written} files to {args.out}")
@@ -203,7 +201,7 @@ def _cmd_estimate(args) -> int:
         f"containment audit: raw={audit.raw_contained} refined={refined} "
         f"inconsistent_steps={audit.inconsistent_steps}"
     )
-    return 0 if audit.raw_contained and audit.refined_contained is not False else 1
+    return 0 if audit.contained else 1
 
 
 def _cmd_analyze_pe(args) -> int:
@@ -212,7 +210,8 @@ def _cmd_analyze_pe(args) -> int:
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     dataset = Dataset.from_csv(args.input)
-    if window is not None and window > dataset.N:
+    window = 2 * dataset.n if window is None else window
+    if window > dataset.N:
         raise ValueError(f"window must be at most the {dataset.N} samples of the dataset, "
                          f"got {window}")
     noise_radius = np.maximum(np.abs(dataset.v_low), np.abs(dataset.v_high))
@@ -238,11 +237,11 @@ def _cmd_analyze_pe(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _effective_config(args, ltv=False, fixed=_SWEPT)
-    sweep = lambda_sweep(config, args.lambdas)
+    rows = lambda_sweep(config, args.lambdas)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
-    sweep.to_csv(path)
-    for row in sweep.rows:
+    write_sweep(rows, path)
+    for row in rows:
         joined = ", ".join(format(w, ".6g") for w in row.final_width)
         print(f"lambda={row.lam:g} {row.label}: final averaged width [{joined}]")
     print(f"wrote {path}")

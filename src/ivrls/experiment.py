@@ -33,7 +33,7 @@ __all__ = [
     "ModeTrace",
     "RunAudit",
     "ExperimentResult",
-    "SweepResult",
+    "SweepRow",
     "estimator_config",
     "mode_label",
     "run_dataset",
@@ -41,6 +41,7 @@ __all__ = [
     "lambda_sweep",
     "estimate_from_csv",
     "write_experiment",
+    "write_sweep",
 ]
 
 CONTAINMENT_SLACK = 1e-9
@@ -85,6 +86,13 @@ class ModeTrace:
     mono_upper: np.ndarray | None
     inconsistent: np.ndarray
 
+    @property
+    def final_width(self) -> np.ndarray:
+        """Width of the last box: the refined one where refinement ran."""
+        if self.mono_lower is None:
+            return self.upper[-1] - self.lower[-1]
+        return self.mono_upper[-1] - self.mono_lower[-1]
+
 
 @dataclass(eq=False)
 class RunAudit:
@@ -95,24 +103,22 @@ class RunAudit:
     refined_contained: bool | None
     inconsistent_steps: int
 
+    @property
+    def contained(self) -> bool:
+        """The run's verdict: the raw box held and the refined box did not fail."""
+        return self.raw_contained and self.refined_contained is not False
+
 
 @dataclass(eq=False)
 class ExperimentResult:
-    config: SimConfig
-    averages: list
+    """Every run's audits, and each mode's averaged trace by label, in mode order."""
+
+    averages: dict
     audits: list
 
     @property
     def all_contained(self) -> bool:
-        return all(
-            a.raw_contained and (a.refined_contained is not False) for a in self.audits
-        )
-
-    def average(self, label: str) -> ModeTrace:
-        for avg in self.averages:
-            if avg.label == label:
-                return avg
-        raise KeyError(f"no mode labeled {label!r}")
+        return all(a.contained for a in self.audits)
 
 
 def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
@@ -142,11 +148,12 @@ def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
     estimators = _on_one_stage(base, spec.modes)
     shape = (N, n)
     mono = spec.monotonic
+    point = np.zeros(shape)  # the same for every mode: read off the shared stage
     traces = [
         ModeTrace(
             label=mode_label(m),
             t=dataset.t.copy(),
-            point=np.zeros(shape),
+            point=point,
             center=np.zeros(shape),
             radius=np.zeros(shape),
             lower=np.zeros(shape),
@@ -159,7 +166,6 @@ def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
     ]
     samples = zip(dataset.X, dataset.y.tolist(), dataset.v_low.tolist(),
                   dataset.v_high.tolist(), drifts)
-    point = traces[0].point
     for i, sample in enumerate(samples):
         for est, trace in zip(estimators, traces):
             est_out = est.step(*sample)
@@ -169,9 +175,8 @@ def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
                 trace.mono_lower[i] = est_out.refined.lower
                 trace.mono_upper[i] = est_out.refined.upper
             trace.inconsistent[i] = est_out.inconsistent
-        point[i] = est_out.point  # the same for every mode: read off the shared stage
+        point[i] = est_out.point
     for trace in traces:
-        trace.point[:] = point
         trace.center[:] = _halves(add, trace.upper, trace.lower)
         trace.radius[:] = _halves(sub, trace.upper, trace.lower)
     return traces
@@ -240,7 +245,7 @@ def run_experiment(config: SimConfig, *, dataset_dir=None) -> ExperimentResult:
         for k, a in _summed(total).items():
             if k != "inconsistent":
                 a /= config.runs
-    return ExperimentResult(config=config, averages=sums, audits=audits)
+    return ExperimentResult(averages={avg.label: avg for avg in sums}, audits=audits)
 
 
 def _summed(trace: ModeTrace) -> dict:
@@ -256,27 +261,8 @@ class SweepRow:
     final_width: np.ndarray
 
 
-@dataclass(eq=False)
-class SweepResult:
-    config: SimConfig
-    lambdas: tuple
-    rows: list
-
-    def final_width(self, lam: float, label: str) -> np.ndarray:
-        for row in self.rows:
-            if row.lam == lam and row.label == label:
-                return row.final_width
-        raise KeyError(f"no sweep row for lam={lam}, mode {label!r}")
-
-    def to_csv(self, path) -> None:
-        n = self.rows[0].final_width.shape[0]
-        header = ["lambda", "mode"] + [f"width_{i}" for i in range(1, n + 1)]
-        rows = [(row.lam, row.label, row.final_width) for row in self.rows]
-        _write_table(path, header, list(zip(*rows)))
-
-
-def lambda_sweep(config: SimConfig, lambdas) -> SweepResult:
-    """Forgetting-factor study: averaged final refined widths per mode.
+def lambda_sweep(config: SimConfig, lambdas) -> list[SweepRow]:
+    """Forgetting-factor study: a row per lambda and mode, lambda-major.
 
     Monotonic refinement is forced on; the reported width is the
     across-run average of the final refined box width, componentwise.
@@ -288,10 +274,15 @@ def lambda_sweep(config: SimConfig, lambdas) -> SweepResult:
         if lam in lambdas[:i]:  # its rows would be written twice
             raise ValueError(f"lambda {lam:g} is given more than once")
     studies = [replace(config, lam=lam, monotonic=True) for lam in lambdas]
-    rows = [SweepRow(lam=study.lam, label=avg.label,
-                     final_width=avg.mono_upper[-1] - avg.mono_lower[-1])
-            for study in studies for avg in run_experiment(study).averages]
-    return SweepResult(config=config, lambdas=lambdas, rows=rows)
+    return [SweepRow(lam=study.lam, label=label, final_width=avg.final_width)
+            for study in studies for label, avg in run_experiment(study).averages.items()]
+
+
+def write_sweep(rows, path) -> None:
+    """Write sweep.csv: lambda, mode and final widths, one line per row."""
+    n = rows[0].final_width.shape[0]
+    header = ["lambda", "mode"] + [f"width_{i}" for i in range(1, n + 1)]
+    _write_table(path, header, list(zip(*((r.lam, r.label, r.final_width) for r in rows))))
 
 
 def _write_trace(path, trace: ModeTrace, comments=None) -> None:
@@ -304,8 +295,8 @@ def write_experiment(result: ExperimentResult, outdir) -> list[str]:
     """Write avg_<mode>.csv per mode plus audit.csv; returns the paths."""
     os.makedirs(outdir, exist_ok=True)
     paths = []
-    for avg in result.averages:
-        path = os.path.join(outdir, f"avg_{avg.label}.csv")
+    for label, avg in result.averages.items():
+        path = os.path.join(outdir, f"avg_{label}.csv")
         _write_trace(path, avg)
         paths.append(path)
     audit_path = os.path.join(outdir, "audit.csv")
@@ -328,12 +319,14 @@ def estimate_from_csv(input_path, output_path, spec: EstimatorSpec):
     The estimator variant follows the file: drift columns present means
     the drift-aware recursion.  When the file carries the true
     trajectory, a containment audit summary is appended as comment lines
-    and returned; otherwise returns None.  The output's directory is made
-    only once the run has passed, so a refused input leaves nothing.
+    and returned; otherwise returns None.  An exact mode on more samples
+    than its cap is refused before any step.  The output's directory is
+    made only once the run has passed, so a refused input leaves nothing.
     """
     if len(spec.modes) != 1:
         raise ValueError(f"estimate_from_csv runs one mode, got modes {spec.modes}")
     dataset = Dataset.from_csv(input_path)
+    spec._check_horizon(dataset.N)
     trace = run_dataset(dataset, spec)[0]
     audit = None
     comments = None

@@ -142,6 +142,12 @@ class EstimatorSpec:
                 raise ValueError(f"mode {'exact' if m is None else m} is given more than once")
         object.__setattr__(self, "modes", modes)
 
+    def _check_horizon(self, horizon: int) -> None:
+        """Refuse a run of `horizon` samples that an exact mode would not finish."""
+        if None in self.modes and horizon > MAX_EXACT_HORIZON:
+            raise ValueError(f"horizon {horizon} exceeds the exact-mode cap {MAX_EXACT_HORIZON}; "
+                             "use a truncation window for long runs")
+
 
 @dataclass(frozen=True, eq=False)
 class EstimatorConfig:
@@ -320,9 +326,10 @@ class _Identifier:
     estimators (None for exact mode).  `_take` advances it by one sample:
     it checks the noise bounds, calls `rls_step`, forms A(t) = I - q(t) x(t)'
     and c(t), and propagates the term history; a drift box it checks and
-    takes apart only when a new box object arrives.  Every refusal names
-    the step.  Estimators on one stage (see `_on_one_stage`) read it until
-    the next sample, `drift_bounds` too.
+    takes apart only when a new box object arrives.  It refuses a bad
+    sample with the bare cause, and `LtiIntervalEstimator.step` names the
+    step.  Estimators on one stage (see `_on_one_stage`) read it until the
+    next sample, `drift_bounds` too.
 
     The history holds the columns of [Phi(t,0) | Phi(t,k) B(k) ...],
     oldest term first, transposed in one of two preallocated buffers so
@@ -364,30 +371,25 @@ class _Identifier:
     def _take(self, x, y, v_low, v_high, drift) -> None:
         keep, t = self.keep, self.state.t + 1
         if keep is None and t > MAX_EXACT_HORIZON:
-            raise ValueError(
-                f"step {t}: exact-mode horizon cap {MAX_EXACT_HORIZON} exceeded; "
-                "use a truncation window for long runs"
-            )
+            raise ValueError(f"exact-mode horizon cap {MAX_EXACT_HORIZON} exceeded; "
+                             "use a truncation window for long runs")
         v_low, v_high = float(v_low), float(v_high)
         if not (math.isfinite(v_low) and math.isfinite(v_high)):
-            raise ValueError(f"step {t}: noise bounds must be finite, got [{v_low}, {v_high}]")
+            raise ValueError(f"noise bounds must be finite, got [{v_low}, {v_high}]")
         if v_low > v_high:
-            raise ValueError(f"step {t}: noise bound inversion: [{v_low}, {v_high}]")
+            raise ValueError(f"noise bound inversion: [{v_low}, {v_high}]")
         n = self.config.n
         w = 1 if drift is None else n + 1
         if self.term_width not in (None, w):
             given = "given" if drift is not None else "missing"
-            raise ValueError(f"step {t}: drift box {given}, unlike earlier steps")
+            raise ValueError(f"drift box {given}, unlike earlier steps")
         if drift is not None and drift is not self._drift:
             if drift.dim != n:
-                raise ValueError(f"step {t}: drift has {drift.dim} components, expected {n}")
+                raise ValueError(f"drift has {drift.dim} components, expected {n}")
             self._drift, self.drift_bounds = drift, (drift.lower.tolist(), drift.upper.tolist())
             self._drift_center, self._drift_radius = drift.center, drift.radius
-        try:
-            x = np.asarray(x, dtype=float)
-            state = rls_step(self.state, x, y)
-        except ValueError as exc:
-            raise ValueError(f"step {t}: {exc}") from None
+        x = np.asarray(x, dtype=float)
+        state = rls_step(self.state, x, y)
         q = state.last_q
         # I - q x', not -(q x') with 1 added on the diagonal: negating would
         # turn the zeros an FIR regressor leaves in q x' into -0.0
@@ -470,20 +472,18 @@ class LtiIntervalEstimator:
         # the first estimator on the stage to take this sample advances it;
         # the others find it one step ahead and read it
         taken = stage.state.t
-        if taken == t:
-            stage._take(x, y, v_low, v_high, drift)
-        elif taken != t + 1:
-            raise ValueError(
-                f"step {t + 1}: the shared stage has taken {taken} samples; "
-                "estimators on one stage must step sample-major"
-            )
-        self._t = t + 1
-        radius = self._engine.step(stage)
-        lower = stage.center - radius
-        upper = stage.center + radius
-        lower.setflags(write=False)
-        upper.setflags(write=False)
         try:
+            if taken == t:
+                stage._take(x, y, v_low, v_high, drift)
+            elif taken != t + 1:
+                raise ValueError(f"the shared stage has taken {taken} samples; "
+                                 "estimators on one stage must step sample-major")
+            self._t = t + 1
+            radius = self._engine.step(stage)
+            lower = stage.center - radius
+            upper = stage.center + radius
+            lower.setflags(write=False)
+            upper.setflags(write=False)
             if monotonic and not self._inconsistent:
                 drift = None if drift is None else stage.drift_bounds
                 refined = _refine(self._refined, lower, upper, drift)
@@ -491,7 +491,7 @@ class LtiIntervalEstimator:
                 self._refined = refined or self._refined
             else:
                 _check_bounds(lower, upper)
-        except ValueError as exc:
+        except ValueError as exc:  # every refusal of this sample names its step
             raise ValueError(f"step {t + 1}: {exc}") from None
         # what IntervalEstimate(...) builds, without its copy and check
         out = object.__new__(IntervalEstimate)

@@ -83,6 +83,7 @@ class SimConfig(EstimatorSpec):
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         super().__post_init__()
+        self._check_horizon(self.horizon)
         if self.drift_radius is not None:
             dr = tuple(float(v) for v in self.drift_radius)
             if len(dr) != n:

@@ -287,9 +287,9 @@ def test_criterion_08_monotone_widths(reference_study):
 
 @criterion(9, "smaller forgetting factor gives narrower final boxes")
 def test_criterion_09_forgetting_sweep():
-    sweep = lambda_sweep(replace(STUDY, modes=(None,)), (0.3, 0.99))
-    w_fast = sweep.final_width(0.3, "exact")[0]
-    w_slow = sweep.final_width(0.99, "exact")[0]
+    fast, slow = lambda_sweep(replace(STUDY, modes=(None,)), (0.3, 0.99))
+    assert (fast.lam, fast.label, slow.lam, slow.label) == (0.3, "exact", 0.99, "exact")
+    w_fast, w_slow = fast.final_width[0], slow.final_width[0]
     assert w_fast < w_slow, f"width {w_fast:.4f} !< {w_slow:.4f}"
 
 
@@ -298,7 +298,7 @@ def test_criterion_10_window_ordering(reference_study):
     result, _, _ = reference_study
 
     def final_width(label):
-        avg = result.average(label)
+        avg = result.averages[label]
         return avg.upper[-1, 0] - avg.lower[-1, 0]
 
     w20, w50, wex = final_width("m20"), final_width("m50"), final_width("exact")

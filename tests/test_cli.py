@@ -173,13 +173,37 @@ def test_exact_horizon_cap_is_a_clean_error(tmp_path, capsys, monkeypatch):
     from ivrls import lti
 
     monkeypatch.setattr(lti, "MAX_EXACT_HORIZON", 30)
-    rc = main(["simulate-lti", "--seed", "0", "--out", str(tmp_path / "o"), "--runs", "1",
-               "--horizon", "40", "--modes", "exact"])
+    out = tmp_path / "o"
+    rc = main(["simulate-lti", "--seed", "0", "--out", str(out), "--runs", "1",
+               "--horizon", "40", "--modes", "exact", "--write-datasets"])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: step 31: exact-mode horizon cap 30 exceeded; "
+        "error: horizon 40 exceeds the exact-mode cap 30; "
         "use a truncation window for long runs\n"
     )
+    # refused before the study: no run, no dataset, no --out
+    assert not out.exists()
+    # only an exact mode is capped
+    argv = ["simulate-lti", "--seed", "0", "--out", str(out), "--runs", "1", "--horizon", "40"]
+    assert main(argv + ["--modes", "20"]) == 0
+
+
+def test_estimate_refuses_an_exact_run_beyond_the_cap_before_any_step(tmp_path, capsys,
+                                                                       monkeypatch):
+    from ivrls import lti
+
+    ds_path, out = tmp_path / "ds.csv", tmp_path / "o"
+    generate_lti(SimConfig(horizon=40), seed=5).to_csv(ds_path)
+    monkeypatch.setattr(lti, "MAX_EXACT_HORIZON", 30)
+    steps = []
+    monkeypatch.setattr(lti.LtiIntervalEstimator, "step",
+                        lambda self, *args: steps.append(args))
+    assert main(["estimate", "--in", str(ds_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: horizon 40 exceeds the exact-mode cap 30; "
+        "use a truncation window for long runs\n"
+    )
+    assert steps == [] and not out.exists()
 
 
 @pytest.mark.parametrize("modes, shown", [("20,20,exact", "20"), ("exact,5,exact", "exact")])
@@ -244,6 +268,17 @@ def test_analyze_pe_refuses_a_bad_window_naming_it(window, error, tmp_path, caps
         assert capsys.readouterr().err == f"error: {error}\n"
     # the whole dataset is a window
     assert main(["analyze-pe", "--in", str(ds_path), "--out", str(out), "--window", "30"]) == 0
+
+
+def test_analyze_pe_refuses_a_default_window_longer_than_the_dataset(tmp_path, capsys):
+    ds_path, out = tmp_path / "ds.csv", tmp_path / "o"
+    generate_lti(SimConfig(horizon=5), seed=5).to_csv(ds_path)
+    assert main(["analyze-pe", "--in", str(ds_path), "--out", str(out)]) == 1
+    # the default window is 2n = 8
+    assert capsys.readouterr().err == (
+        "error: window must be at most the 5 samples of the dataset, got 8\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")  # a leaked numpy warning fails the test

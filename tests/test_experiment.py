@@ -8,7 +8,9 @@ import pytest
 import ivrls.experiment
 from ivrls import lti
 from ivrls.experiment import (
+    ExperimentResult,
     ModeTrace,
+    RunAudit,
     estimate_from_csv,
     estimator_config,
     lambda_sweep,
@@ -16,6 +18,7 @@ from ivrls.experiment import (
     run_dataset,
     run_experiment,
     write_experiment,
+    write_sweep,
 )
 from ivrls.intervals import IntervalVector
 from ivrls.lti import EstimatorSpec, LtiIntervalEstimator
@@ -56,8 +59,9 @@ def test_averages_are_componentwise_means():
     config = small_config(runs=2, modes=(None,))
     result, traces = study_with_traces(config)
     stacked = np.stack([traces[r][0].radius for r in range(2)])
-    np.testing.assert_array_equal(result.average("exact").radius, stacked.mean(axis=0))
-    counts = result.average("exact").inconsistent
+    assert list(result.averages) == ["exact"]
+    np.testing.assert_array_equal(result.averages["exact"].radius, stacked.mean(axis=0))
+    counts = result.averages["exact"].inconsistent
     assert counts.shape == (config.horizon,)
     assert np.all(counts == 0)
 
@@ -67,7 +71,7 @@ def test_averaged_inconsistent_column_counts_flagged_runs(tmp_path):
     # come up empty within a few steps
     config = small_config(runs=3, modes=(None,), prior_radius=0.01)
     result, traces = study_with_traces(config)
-    counts = result.average("exact").inconsistent
+    counts = result.averages["exact"].inconsistent
     flags = np.stack([traces[r][0].inconsistent for r in range(3)])
     np.testing.assert_array_equal(counts, flags.sum(axis=0))
     assert counts.max() == config.runs
@@ -95,12 +99,26 @@ def test_study_memory_does_not_grow_with_runs():
 def test_parallel_matches_serial_bitwise():
     serial = run_experiment(small_config(workers=1))
     parallel = run_experiment(small_config(workers=2))
-    for a, b in zip(serial.averages, parallel.averages):
-        assert a.label == b.label
+    assert list(serial.averages) == list(parallel.averages) == ["m10", "exact"]
+    for label, a in serial.averages.items():
+        b = parallel.averages[label]
+        assert a.label == b.label == label
         np.testing.assert_array_equal(a.lower, b.lower)
         np.testing.assert_array_equal(a.upper, b.upper)
         np.testing.assert_array_equal(a.mono_lower, b.mono_lower)
         np.testing.assert_array_equal(a.point, b.point)
+
+
+@pytest.mark.parametrize("raw, refined, contained", [
+    (True, None, True), (True, True, True), (True, False, False),
+    (False, None, False), (False, True, False),
+])
+def test_a_run_holds_when_its_raw_box_held_and_its_refined_box_did_not_fail(raw, refined,
+                                                                           contained):
+    audit = RunAudit(run=0, seed=0, label="exact", raw_contained=raw,
+                     refined_contained=refined, inconsistent_steps=0)
+    assert audit.contained == contained
+    assert ExperimentResult(averages={}, audits=[audit]).all_contained == contained
 
 
 def test_run_dataset_matches_direct_estimator_loop():
@@ -121,7 +139,7 @@ def test_ltv_experiment_runs_and_audits():
     config = replace(REFERENCE_LTV, runs=2, horizon=40, seed=100)
     result = run_experiment(config)
     assert result.all_contained
-    assert {a.label for a in result.averages} == {"m5", "exact"}
+    assert list(result.averages) == ["m5", "exact"]
 
 
 def test_write_experiment_files(tmp_path):
@@ -142,14 +160,22 @@ def test_write_experiment_files(tmp_path):
 
 def test_lambda_sweep_matches_single_experiment():
     config = small_config(modes=(None,), runs=2)
-    sweep = lambda_sweep(config, [0.7])
+    rows = lambda_sweep(config, [0.7])
     direct = run_experiment(replace(config, lam=0.7))
-    avg = direct.average("exact")
-    np.testing.assert_array_equal(
-        sweep.final_width(0.7, "exact"), avg.mono_upper[-1] - avg.mono_lower[-1]
-    )
-    with pytest.raises(KeyError):
-        sweep.final_width(0.9, "exact")
+    avg = direct.averages["exact"]
+    assert [(row.lam, row.label) for row in rows] == [(0.7, "exact")]
+    np.testing.assert_array_equal(rows[0].final_width, avg.mono_upper[-1] - avg.mono_lower[-1])
+
+
+@pytest.mark.parametrize("monotonic", [False, True])
+def test_final_width_reads_the_refined_box_where_refinement_ran(monotonic):
+    config = small_config(runs=1, modes=(10,), monotonic=monotonic)
+    trace = run_dataset(generate_lti(config, seed=config.seed), config)[0]
+    lower, upper = (trace.mono_lower, trace.mono_upper) if monotonic else (trace.lower,
+                                                                            trace.upper)
+    np.testing.assert_array_equal(trace.final_width, upper[-1] - lower[-1])
+    if monotonic:  # the running intersection cuts the last raw box here
+        assert np.any(trace.final_width < trace.upper[-1] - trace.lower[-1])
 
 
 
@@ -162,11 +188,11 @@ def test_tables_without_refinement_leave_refined_blank(tmp_path):
 
 def test_sweep_csv_row_holds_lambda_mode_and_widths(tmp_path):
     config = small_config(modes=(None,), runs=2)
-    sweep = lambda_sweep(config, [0.7])
-    sweep.to_csv(tmp_path / "sweep.csv")
+    rows = lambda_sweep(config, [0.7])
+    write_sweep(rows, tmp_path / "sweep.csv")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == "lambda,mode,width_1,width_2,width_3,width_4"
-    widths = sweep.final_width(0.7, "exact")
+    widths = rows[0].final_width
     assert lines[1] == ",".join(
         ["0.69999999999999996", "exact"] + [format(w, ".17g") for w in widths]
     )
@@ -249,9 +275,9 @@ def test_estimate_from_csv_refuses_more_than_one_mode(tmp_path):
 
 def test_sweep_csv_layout(tmp_path):
     config = small_config(modes=(None,), runs=2)
-    sweep = lambda_sweep(config, [0.6, 0.9])
+    rows = lambda_sweep(config, [0.6, 0.9])
     path = tmp_path / "sweep.csv"
-    sweep.to_csv(path)
+    write_sweep(rows, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "lambda,mode,width_1,width_2,width_3,width_4"
     assert len(lines) == 1 + 2

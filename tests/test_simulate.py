@@ -61,6 +61,8 @@ nan, inf = math.nan, math.inf
     (dict(modes=(5, 0)), "truncation window must be >= 1, got 0"),
     (dict(modes=(5, None, 5)), "mode 5 is given more than once"),
     (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(horizon=100_001, modes=(20, None)),
+     "horizon 100001 exceeds the exact-mode cap 100000; use a truncation window for long runs"),
 ])
 def test_a_setting_out_of_range_or_not_finite_is_refused_naming_it(settings, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
