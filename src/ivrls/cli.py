@@ -159,16 +159,20 @@ def _effective_config(args, ltv: bool, fixed=()) -> SimConfig:
 
 
 def _read_config_file(path) -> dict:
-    data = {}
+    data, lines = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
+            key = key.strip()
             if not sep:
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
-            data[key.strip()] = value.strip()
+            if key in data:  # one value would silently win
+                raise ValueError(f"{path}: key '{key}' is given more than once, "
+                                 f"on lines {lines[key]} and {lineno}")
+            data[key], lines[key] = value.strip(), lineno
     return data
 
 

@@ -266,10 +266,20 @@ class Dataset:
         if bad.size:
             i = bad[0]
             reject(f"v_lo={lo[i]:g} exceeds v_hi={hi[i]:g}", i)
-
-        ds = cls(t=t, **{f: data[:, sl].copy() for f, sl in slices.items() if f != "t"})
-        ds.validate()
-        return ds
+        if "v" in slices:
+            v = data[:, slices["v"]]
+            bad = np.flatnonzero((v < lo) | (v > hi))
+            if bad.size:
+                i = bad[0]
+                reject(f"v_true={v[i]:g} outside its bounds [{lo[i]:g}, {hi[i]:g}]", i, "v_true")
+        if "delta_low" in slices:
+            lo, hi = data[:, slices["delta_low"]], data[:, slices["delta_high"]]
+            bad = np.argwhere(lo > hi)
+            if bad.size:
+                i, j = bad[0]
+                reject(f"delta_lo_{j + 1}={lo[i, j]:g} exceeds delta_hi_{j + 1}={hi[i, j]:g}", i)
+        # every value check of `validate` is made above, naming the line
+        return cls(t=t, **{f: data[:, sl].copy() for f, sl in slices.items() if f != "t"})
 
 
 def write_estimates_csv(

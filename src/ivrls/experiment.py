@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, _write_table, write_estimates_csv
 from .intervals import IntervalVector, _halves, _within, from_center_radius
-from .lti import EstimatorConfig, EstimatorSpec, _on_one_stage
+from .lti import EstimatorConfig, EstimatorSpec, _run_modes
 from .rls import RlsConfig
 from .simulate import SimConfig, generate_lti, generate_ltv
 
@@ -124,11 +124,11 @@ class ExperimentResult:
 def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
     """Apply every mode of the spec to one dataset, in row order.
 
-    The modes are built on one per-sample stage and stepped sample-major,
-    as that stage asks, so each sample goes through RLS and the center
-    recursion once.  A run of drift rows with the same bits shares one
-    drift box, which the stage takes apart once.  The estimates' bound
-    arrays are copied into the traces without building box objects.
+    `lti._run_modes` steps the modes on one per-sample stage, so each
+    sample goes through RLS and the center recursion once.  A run of drift
+    rows with the same bits shares one drift box, which the stage takes
+    apart once.  The estimates' bound arrays are copied into the traces
+    without building box objects.
     """
     n, N = dataset.n, dataset.N
     drifts = [None] * N
@@ -145,7 +145,6 @@ def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
                 raise ValueError(f"step {s + 1}: drift {exc}") from None
         drifts = [boxes[j] for j in (np.cumsum(new) - 1).tolist()]
     base = estimator_config(n, spec.lam, spec.p0_scale, spec.prior_radius, None, spec.monotonic)
-    estimators = _on_one_stage(base, spec.modes)
     shape = (N, n)
     mono = spec.monotonic
     point = np.zeros(shape)  # the same for every mode: read off the shared stage
@@ -166,16 +165,15 @@ def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
     ]
     samples = zip(dataset.X, dataset.y.tolist(), dataset.v_low.tolist(),
                   dataset.v_high.tolist(), drifts)
-    for i, sample in enumerate(samples):
-        for est, trace in zip(estimators, traces):
-            est_out = est.step(*sample)
-            trace.lower[i] = est_out.lower
-            trace.upper[i] = est_out.upper
+    for i, outs in enumerate(_run_modes(base, spec.modes, samples)):
+        for out, trace in zip(outs, traces):
+            trace.lower[i] = out.lower
+            trace.upper[i] = out.upper
             if mono:
-                trace.mono_lower[i] = est_out.refined.lower
-                trace.mono_upper[i] = est_out.refined.upper
-            trace.inconsistent[i] = est_out.inconsistent
-        point[i] = est_out.point
+                trace.mono_lower[i] = out.refined.lower
+                trace.mono_upper[i] = out.refined.upper
+            trace.inconsistent[i] = out.inconsistent
+        point[i] = out.point
     for trace in traces:
         trace.center[:] = _halves(add, trace.upper, trace.lower)
         trace.radius[:] = _halves(sub, trace.upper, trace.lower)
@@ -328,18 +326,12 @@ def estimate_from_csv(input_path, output_path, spec: EstimatorSpec):
     dataset = Dataset.from_csv(input_path)
     spec._check_horizon(dataset.N)
     trace = run_dataset(dataset, spec)[0]
-    audit = None
-    comments = None
+    audit = comments = None
     if dataset.theta_true is not None:
         audit = _audit_trace(trace, dataset.theta_true, run=0, seed=0)
-        refined = "na" if audit.refined_contained is None else str(
-            int(audit.refined_contained)
-        )
-        comments = [
-            f"audit raw_contained={int(audit.raw_contained)} "
-            f"refined_contained={refined} "
-            f"inconsistent_steps={audit.inconsistent_steps}"
-        ]
+        refined = "na" if audit.refined_contained is None else int(audit.refined_contained)
+        comments = [f"audit raw_contained={int(audit.raw_contained)} refined_contained={refined} "
+                    f"inconsistent_steps={audit.inconsistent_steps}"]
     os.makedirs(os.path.dirname(output_path) or os.curdir, exist_ok=True)
     _write_trace(output_path, trace, comments)
     return audit

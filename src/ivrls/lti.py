@@ -59,8 +59,9 @@ regressor: the error recursion holds for whatever gain RLS computed), the
 center c(t), the term history with its absolute values (one gemm and one
 np.abs per sample, O(n^2 w) per kept term block) and the full sum.  A
 window adds O(n w m) for its sum and an amortized O(n^3) for its anchor
-Phi(t,t-m).  A standalone estimator is a stage of one; a Monte Carlo
-study builds every mode of a run on one stage and steps them sample-major.
+Phi(t,t-m).  A standalone estimator is a stage of one; `_run_modes` runs
+every mode of a study run on one stage and hands each a sample before any
+takes the next, so no other code can step a shared stage out of order.
 
 An estimate is its raw box: an IntervalVector whose read-only bounds the
 step checked against the box contract once, in the pass that also
@@ -328,7 +329,7 @@ class _Identifier:
     and c(t), and propagates the term history; a drift box it checks and
     takes apart only when a new box object arrives.  It refuses a bad
     sample with the bare cause, and `LtiIntervalEstimator.step` names the
-    step.  Estimators on one stage (see `_on_one_stage`) read it until the
+    step.  The estimators `_run_modes` puts on one stage read it until the
     next sample, `drift_bounds` too.
 
     The history holds the columns of [Phi(t,0) | Phi(t,k) B(k) ...],
@@ -432,8 +433,9 @@ class LtiIntervalEstimator:
 
     Every step either carries a drift box or none does: the first step
     fixes which, because the stored terms of the two cases differ in width.
-    Each estimator has its own per-sample stage unless `_on_one_stage`
-    built it on a stage shared with other modes.
+    Each estimator has its own per-sample stage unless `_run_modes` built
+    it on a stage shared with other modes; there the first mode's step
+    advances the stage and the others read it.
     """
 
     def __init__(self, config: EstimatorConfig):
@@ -451,8 +453,7 @@ class LtiIntervalEstimator:
 
     @property
     def rls_state(self) -> RlsState:
-        """The identifier's state after the newest sample its stage took,
-        which on a shared stage another mode may have taken first."""
+        """The identifier's state after the newest sample."""
         return self._identifier.state
 
     @property
@@ -469,15 +470,9 @@ class LtiIntervalEstimator:
         monotonic = self.config.monotonic
         t = self._t
         stage = self._identifier
-        # the first estimator on the stage to take this sample advances it;
-        # the others find it one step ahead and read it
-        taken = stage.state.t
         try:
-            if taken == t:
+            if stage.state.t == t:  # not yet taken by another mode on the stage
                 stage._take(x, y, v_low, v_high, drift)
-            elif taken != t + 1:
-                raise ValueError(f"the shared stage has taken {taken} samples; "
-                                 "estimators on one stage must step sample-major")
             self._t = t + 1
             radius = self._engine.step(stage)
             lower = stage.center - radius
@@ -501,23 +496,21 @@ class LtiIntervalEstimator:
         return out
 
 
-def _on_one_stage(base: EstimatorConfig, modes) -> list[LtiIntervalEstimator]:
-    """One estimator per mode in `modes`, all on one per-sample stage.
+def _run_modes(base: EstimatorConfig, modes, samples):
+    """Step one estimator per mode in `modes` over `samples`, each a tuple
+    of `step`'s arguments, and yield each sample's estimates in mode order.
 
-    Contract: give every estimator the same samples and step them
-    sample-major, every estimator on a sample before any takes the next;
-    a step that finds the stage neither at nor one sample past its own
-    count is refused.  The stage takes the sample of whichever estimator
-    steps first, and the others read its results.  Under this
-    contract each estimator's point estimate and raw bounds are those of
-    an estimator of its own, bit for bit in exact mode and for a window m
-    while t <= m.  Past that a window reads its newest m term blocks from
-    a history that the stage propagates with more blocks per matrix
-    product than an estimator of its own would, so its bounds may differ
-    from that estimator's by rounding.
+    The estimators share one per-sample stage, which the first mode's step
+    advances and the others read.  As every mode takes a sample before any
+    takes the next, each one's point and raw bounds are those of an
+    estimator of its own, bit for bit in exact mode and for a window m
+    while t <= m.  Past that a window reads its newest m term blocks from a
+    history propagated with more blocks per matrix product than its own,
+    so its bounds may differ from that estimator's by rounding.
     """
     estimators = [LtiIntervalEstimator(replace(base, m=m)) for m in modes]
     stage = _Identifier(base.rls, base.theta_prior, [est.config.m for est in estimators])
     for est in estimators:
         est._identifier = stage
-    return estimators
+    for sample in samples:
+        yield [est.step(*sample) for est in estimators]

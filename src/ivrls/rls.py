@@ -74,7 +74,7 @@ class RlsConfig:
                 "lam = 1 disables forgetting; the interval estimators' "
                 "stability guarantees assume lam < 1",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to its caller
             )
         theta0.flags.writeable = False
         P0.flags.writeable = False

@@ -301,6 +301,8 @@ def test_analyze_pe_refuses_a_bad_p0_scale_naming_it(value, tmp_path, capsys):
     (["--monotonic", "maybe"], None, 2, "argument --monotonic: expected a boolean, got 'maybe'"),
     ([], "runs 3\n", 1, "{cfg}: line 1: expected key=value"),
     ([], "monotonic = maybe\n", 1, "{cfg}: monotonic: expected a boolean, got 'maybe'"),
+    ([], "modes = 20,exact\nhorizon = 5\nruns = 1\nmodes = 50\n", 1,
+     "{cfg}: key 'modes' is given more than once, on lines 1 and 4"),
 ])
 def test_a_setting_text_its_parser_refuses_is_named(flags, config, status, error, tmp_path,
                                                      capsys):

@@ -350,6 +350,11 @@ def _estimates(**kwargs):
      "mono_lower and mono_upper must be given together"),
     (_estimates(center=np.zeros((3, 1))), "c must have shape (2, 1), got (3, 1)"),
     (_read("t,y,x_1,v_lo,v_hi\n# no samples\n"), "{path}: no data rows"),
+    (_read("t,y,x_1,v_lo,v_hi,v_true\n1,0,0,-0.1,0.1,0\n2,0,0,-0.1,0.1,0.5\n"),
+     "{path}: line 3, column 'v_true': v_true=0.5 outside its bounds [-0.1, 0.1]"),
+    (_read("t,y,x_1,x_2,v_lo,v_hi,delta_lo_1,delta_lo_2,delta_hi_1,delta_hi_2\n"
+           "# the second increment's bounds are swapped\n1,0,0,0,-0.1,0.1,-1,0.2,1,-0.2\n"),
+     "{path}: line 3: delta_lo_2=0.2 exceeds delta_hi_2=-0.2"),
 ])
 def test_a_malformed_table_is_refused_with_its_cause(call, message, tmp_path):
     path = tmp_path / "table.csv"

@@ -348,17 +348,13 @@ def test_run_dataset_propagates_the_history_once_per_sample(monkeypatch):
 
 
 def stepped_with_a_box_per_row(ds, config):
-    """Per mode, the estimates of estimators on one stage, stepped
-    sample-major with a new drift box built from every row."""
+    """Per mode, the estimates of the modes run on one stage with a new
+    drift box built from every row."""
     base = estimator_config(ds.n, config.lam, config.p0_scale, config.prior_radius,
                             None, config.monotonic)
-    estimators = lti._on_one_stage(base, config.modes)
-    outs = [[] for _ in estimators]
-    for i in range(ds.N):
-        drift = IntervalVector(ds.delta_low[i], ds.delta_high[i])
-        for est, out in zip(estimators, outs):
-            out.append(est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift))
-    return outs
+    samples = [(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i],
+                IntervalVector(ds.delta_low[i], ds.delta_high[i])) for i in range(ds.N)]
+    return list(zip(*lti._run_modes(base, config.modes, samples)))
 
 
 @pytest.mark.parametrize("edited", [False, True])

@@ -6,7 +6,7 @@ import pytest
 
 from ivrls import lti
 from ivrls.intervals import IntervalVector, _box_view, _check_bounds, from_center_radius
-from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, _on_one_stage, _refine
+from ivrls.lti import EstimatorConfig, LtiIntervalEstimator, _refine
 from ivrls.rls import RlsConfig
 from ivrls.simulate import (
     REFERENCE_DRIFT_RADIUS,
@@ -320,43 +320,56 @@ def test_asymmetric_noise_bounds_shift_center():
         assert out.raw.contains(theta, slack=1e-9)
 
 
-def shared_estimators(rls, modes, monotonic=True, prior=4.0):
-    """Estimators of the given modes, all on one per-sample stage."""
+def shared_run(rls, modes, samples, monotonic=True, prior=4.0):
+    """Each sample's estimates of the given modes, all on one per-sample stage."""
     n = rls.n
     base = EstimatorConfig(
         rls=rls,
         theta_prior=from_center_radius(np.zeros(n), np.full(n, prior)),
         monotonic=monotonic,
     )
-    return _on_one_stage(base, modes)
+    return lti._run_modes(base, modes, samples)
 
 
-def check_shared_matches_independent(drifting, reverse):
-    """Step the modes on one stage, in the given order within each sample,
-    next to estimators of their own.  The point, exact mode and a window m
-    while t <= m agree bit for bit.  Past that a window reads its terms
-    from a history propagated with more blocks per matrix product than its
-    own estimator's, so its bounds agree to rounding and still dominate
-    the exact ones."""
+def record_radius_steps(monkeypatch):
+    """Every radius step from now on, as (engine, stage, radius), in call order."""
+    steps = []
+    real_step = lti._RadiusRecursion.step
+
+    def recording(self, stage):
+        radius = real_step(self, stage)
+        steps.append((self, stage, radius))
+        return radius
+
+    monkeypatch.setattr(lti._RadiusRecursion, "step", recording)
+    return steps
+
+
+def check_shared_matches_independent(drifting, reverse, monkeypatch):
+    """Run the modes on one stage, in the given order, next to estimators
+    of their own.  The point, exact mode and a window m while t <= m agree
+    bit for bit.  Past that a window reads its terms from a history
+    propagated with more blocks per matrix product than its own
+    estimator's, so its bounds agree to rounding and still dominate the
+    exact ones."""
     modes = (1, 7, None)
     lam = 0.1 if drifting else 0.99
     config = SimConfig(horizon=60, seed=24, lam=lam,
                        drift_radius=REFERENCE_DRIFT_RADIUS if drifting else None)
     ds = generate_ltv(config, seed=24) if drifting else generate_lti(config, seed=24)
     rls = RlsConfig(theta0=np.zeros(4), P0=1000.0 * np.eye(4), lam=lam)
-    shared = shared_estimators(rls, modes)
-    alone = [LtiIntervalEstimator(make_config(lam=lam, m=m, monotonic=True))
-             for m in modes]
-    for i in range(ds.N):
-        drift = None
-        if drifting:
-            drift = IntervalVector(ds.delta_low[i], ds.delta_high[i])
-        sample = (ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
-        # whichever mode steps first advances the stage
-        pairs = list(zip(modes, shared, alone))
+    samples = [(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i],
+                IntervalVector(ds.delta_low[i], ds.delta_high[i]) if drifting else None)
+               for i in range(ds.N)]
+    # the first mode advances the stage: reversed, the exact mode leads
+    order = modes[::-1] if reverse else modes
+    alone = {m: LtiIntervalEstimator(make_config(lam=lam, m=m, monotonic=True))
+             for m in modes}
+    steps = record_radius_steps(monkeypatch)
+    for i, outs in enumerate(shared_run(rls, order, samples)):
         radii = {}
-        for m, a, b in reversed(pairs) if reverse else pairs:
-            out, ref = a.step(*sample), b.step(*sample)
+        for m, out in zip(order, outs):
+            ref = alone[m].step(*samples[i])
             assert out.t == ref.t == i + 1 and out.inconsistent == ref.inconsistent
             assert out.point.tobytes() == ref.point.tobytes()
             for x, y in ((out.raw.lower, ref.raw.lower), (out.raw.upper, ref.raw.upper),
@@ -369,31 +382,20 @@ def check_shared_matches_independent(drifting, reverse):
             radii[m] = out.raw.radius
         for m in modes[:-1]:
             assert np.all(radii[m] >= radii[None] * (1 - 1e-12))
-    # every estimator keeps its own view of the identifier's state
-    assert all(a.rls_state is shared[0].rls_state for a in shared)
+    # every mode of the run read one stage
+    own = {id(est._engine) for est in alone.values()}
+    assert len({id(stage) for engine, stage, _ in steps if id(engine) not in own}) == 1
 
 
 @pytest.mark.parametrize("drifting", [False, True])
-def test_shared_identifier_matches_independent_estimators(drifting):
-    check_shared_matches_independent(drifting, reverse=False)
+def test_shared_identifier_matches_independent_estimators(drifting, monkeypatch):
+    check_shared_matches_independent(drifting, reverse=False, monkeypatch=monkeypatch)
 
 
 @pytest.mark.parametrize("drifting", [False, True])
-def test_shared_modes_stepped_in_reverse_order_match_independent_estimators(drifting):
-    check_shared_matches_independent(drifting, reverse=True)
-
-
-def test_a_mode_out_of_sample_order_on_a_shared_stage_is_refused():
-    rls = RlsConfig(theta0=np.zeros(2), P0=1000.0 * np.eye(2), lam=0.99)
-    exact, m3 = shared_estimators(rls, (None, 3))
-    samples = [([1.0, 0.5], 0.2, -0.1, 0.1), ([0.3, -1.0], -0.1, -0.1, 0.1)]
-    for sample in samples:
-        exact.step(*sample)
-    # m3's first sample would read sample 2's point; refused before any change
-    with pytest.raises(ValueError, match=r"^step 1: the shared stage has taken 2 samples; "
-                                         r"estimators on one stage must step sample-major$"):
-        m3.step(*samples[0])
-    assert m3.t == 0 and m3.rls_state.t == exact.t == 2
+def test_shared_modes_stepped_in_reverse_order_match_independent_estimators(drifting,
+                                                                             monkeypatch):
+    check_shared_matches_independent(drifting, reverse=True, monkeypatch=monkeypatch)
 
 
 def brute_force_radii(As, terms, prior, modes):
@@ -418,79 +420,72 @@ def test_every_mode_on_one_stage_matches_a_brute_force_radius(modes, drifting, m
     config = SimConfig(horizon=N, seed=26, lam=lam,
                        drift_radius=REFERENCE_DRIFT_RADIUS if drifting else None)
     ds = generate_ltv(config, seed=26) if drifting else generate_lti(config, seed=26)
-    radii = {m: [] for m in modes}
-    real_step = lti._RadiusRecursion.step
-
-    def recording(self, stage):
-        radius = real_step(self, stage)
-        radii[self.window].append(radius.copy())
-        return radius
-
-    monkeypatch.setattr(lti._RadiusRecursion, "step", recording)
-    ests = shared_estimators(RlsConfig(theta0=np.zeros(n), P0=1000.0 * np.eye(n), lam=lam),
-                             modes)
+    samples = [(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i],
+                IntervalVector(ds.delta_low[i], ds.delta_high[i]) if drifting else None)
+               for i in range(N)]
+    steps = record_radius_steps(monkeypatch)
+    run = shared_run(RlsConfig(theta0=np.zeros(n), P0=1000.0 * np.eye(n), lam=lam),
+                     modes, samples)
     As, terms = [], []
-    for i in range(N):
-        drift = IntervalVector(ds.delta_low[i], ds.delta_high[i]) if drifting else None
-        for est in ests:
-            est.step(ds.X[i], ds.y[i], ds.v_low[i], ds.v_high[i], drift)
-        A, q = ests[0]._identifier.At.T.copy(), ests[0].rls_state.last_q
+    for i, _ in enumerate(run):
+        stage = steps[-1][1]
+        A, q = stage.At.T.copy(), stage.state.last_q
         B, r_w = q[:, None], np.array([0.5 * (ds.v_high[i] - ds.v_low[i])])
         if drifting:
-            B, r_w = np.hstack([B, -A]), np.concatenate([r_w, drift.radius])
+            B, r_w = np.hstack([B, -A]), np.concatenate([r_w, samples[i][4].radius])
         As.append(A)
         terms.append((B, r_w))
     expected = brute_force_radii(As, terms, np.full(n, 4.0), modes)
     for m in modes:
-        np.testing.assert_allclose(radii[m], expected[m], rtol=1e-12, atol=0)
+        radii = [radius for engine, _, radius in steps if engine.window == m]
+        np.testing.assert_allclose(radii, expected[m], rtol=1e-12, atol=0)
 
 
-def test_full_sum_is_computed_once_per_sample_and_shared():
+def test_full_sum_is_computed_once_per_sample_and_shared(monkeypatch):
+    steps = record_radius_steps(monkeypatch)
     rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
-    ests = shared_estimators(rls, (3, None))
     rng = np.random.default_rng(27)
-    for t in range(1, 6):
-        x, y = rng.normal(size=2), rng.normal()
-        outs = [est.step(x, y, -0.1, 0.1) for est in ests]
+    samples = [(rng.normal(size=2), rng.normal(), -0.1, 0.1) for _ in range(5)]
+    for t, outs in enumerate(shared_run(rls, (3, None), samples), 1):
         # a window still inside its first m steps reads the exact radius,
         # the very array the stage summed for this sample
-        ring = ests[0]._engine.radius_ring
-        assert (ring[-1] is ests[0]._identifier.full) == (t <= 3)
+        (_, stage, windowed), _ = steps[-2:]
+        assert (windowed is stage.full) == (t <= 3)
         if t <= 3:
             assert outs[0].lower.tobytes() == outs[1].lower.tobytes()
     # without an exact mode the stage drops the full sum past the longest window
-    ests = shared_estimators(rls, (2, 3))
-    for t in range(1, 6):
-        x, y = rng.normal(size=2), rng.normal()
-        for est in ests:
-            est.step(x, y, -0.1, 0.1)
-        assert (ests[0]._identifier.full is None) == (t > 3)
+    samples = [(rng.normal(size=2), rng.normal(), -0.1, 0.1) for _ in range(5)]
+    for t, _ in enumerate(shared_run(rls, (2, 3), samples), 1):
+        assert (steps[-1][1].full is None) == (t > 3)
 
 
 def test_exact_horizon_refusal_on_a_shared_stage_changes_no_mode(monkeypatch):
     monkeypatch.setattr(lti, "MAX_EXACT_HORIZON", 3)
     rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
-    ests = shared_estimators(rls, (2, None))
     rng = np.random.default_rng(28)
-    for _ in range(3):
-        x, y = rng.normal(size=2), rng.normal()
-        for est in ests:
-            est.step(x, y, -0.1, 0.1)
-    stage, windowed = ests[0]._identifier, ests[0]._engine
-    state, center, abs_rows = stage.state, stage.center, stage.abs_rows.copy()
-    ring, stacks, top = list(windowed.radius_ring), windowed.stacks.copy(), windowed._top
-    refined = [est._refined for est in ests]
+    samples = [(rng.normal(size=2), rng.normal(), -0.1, 0.1) for _ in range(3)]
+    samples.append((rng.normal(size=2), 1.0, -0.1, 0.1))
     # the stage keeps the full history for exact mode, so it refuses the
-    # sample whichever mode steps first
-    for est in ests + ests[::-1]:
-        with pytest.raises(ValueError, match="horizon cap 3"):
-            est.step(rng.normal(size=2), 1.0, -0.1, 0.1)
-        assert est.t == 3 and est.rls_state is state
-    assert stage.state is state and stage.center is center and stage.live == 2 + 3
-    assert stage.abs_rows[:5].tobytes() == abs_rows[:5].tobytes()
-    assert list(windowed.radius_ring) == ring and windowed._top == top
-    assert windowed.stacks.tobytes() == stacks.tobytes()
-    assert [est._refined for est in ests] == refined and not any(e.inconsistent for e in ests)
+    # sample whichever mode leads
+    for modes in ((2, None), (None, 2)):
+        steps = record_radius_steps(monkeypatch)
+        run = shared_run(rls, modes, samples)
+        for _ in range(3):
+            next(run)
+        stage = steps[-1][1]
+        windowed = next(engine for engine, _, _ in steps if engine.window == 2)
+        state, center, abs_rows = stage.state, stage.center, stage.abs_rows.copy()
+        ring, stacks, top = list(windowed.radius_ring), windowed.stacks.copy(), windowed._top
+        with pytest.raises(ValueError, match=r"^step 4: exact-mode horizon cap 3 exceeded"):
+            next(run)
+        assert len(steps) == 3 * len(modes)  # no mode went on to its radius
+        assert stage.state is state and stage.center is center and stage.live == 2 + 3
+        assert stage.abs_rows[:5].tobytes() == abs_rows[:5].tobytes()
+        assert list(windowed.radius_ring) == ring and windowed._top == top
+        assert windowed.stacks.tobytes() == stacks.tobytes()
+        # a refused sample ends the run
+        with pytest.raises(StopIteration):
+            next(run)
 
 
 def test_shared_identifier_steps_rls_once_per_sample(monkeypatch):
@@ -503,18 +498,11 @@ def test_shared_identifier_steps_rls_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(lti, "rls_step", counted)
     rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
-    ests = shared_estimators(rls, (1, 3, None))
     rng = np.random.default_rng(25)
-    for _ in range(5):
-        x, y = rng.normal(size=2), rng.normal()
-        for est in ests:
-            est.step(x, y, -0.1, 0.1)
+    samples = [(rng.normal(size=2), rng.normal(), -0.1, 0.1) for _ in range(5)]
+    for t, outs in enumerate(shared_run(rls, (1, 3, None), samples), 1):
+        assert [out.t for out in outs] == [t] * 3
     assert calls == [0, 1, 2, 3, 4]
-    # a follower that has not stepped yet counts its own samples; its
-    # rls_state is the stage's, which the lead has advanced
-    lead, follow = shared_estimators(rls, (1, None))
-    lead.step([1.0, 0.0], 0.5, -0.1, 0.1)
-    assert lead.t == 1 and follow.t == 0 and follow.rls_state.t == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

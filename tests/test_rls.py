@@ -17,8 +17,10 @@ def test_config_rejects_bad_lambda():
 
 
 def test_config_warns_on_lambda_one():
-    with pytest.warns(UserWarning, match="forgetting"):
+    with pytest.warns(UserWarning, match="forgetting") as caught:
         RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=1.0)
+    # the warning names the caller's line, not the generated __init__
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_config_rejects_indefinite_p0():
