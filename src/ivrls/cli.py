@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import asdict
 from functools import partial
+from operator import sub
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .experiment import (
     write_experiment,
     write_sweep,
 )
-from .lti import EstimatorSpec
+from .intervals import _halves
+from .lti import EstimatorSpec, _integer
 from .pe import analyze
 from .simulate import REFERENCE_LTV, SimConfig
 
@@ -210,21 +212,18 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_analyze_pe(args) -> int:
     spec = EstimatorSpec(lam=args.lam, p0_scale=args.p0_scale)
-    window = args.window
-    if window is not None and window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    window = None if args.window is None else _integer("window", args.window, 1)
     dataset = Dataset.from_csv(args.input)
     window = 2 * dataset.n if window is None else window
     if window > dataset.N:
         raise ValueError(f"window must be at most the {dataset.N} samples of the dataset, "
                          f"got {window}")
-    noise_radius = np.maximum(np.abs(dataset.v_low), np.abs(dataset.v_high))
     report = analyze(
         dataset.X,
         lam=spec.lam,
         P0=spec.p0_scale * np.eye(dataset.n),
         T=window,
-        noise_radius=noise_radius,
+        noise_radius=_halves(sub, dataset.v_high, dataset.v_low),  # eta_v: the estimator's r_v
     )
     os.makedirs(args.out, exist_ok=True)
     txt_path = os.path.join(args.out, "pe_report.txt")

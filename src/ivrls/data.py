@@ -14,8 +14,9 @@ CSV layout (header mandatory, one row per step):
 
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly; equal datasets therefore produce byte-identical files.
-The reader skips '#' comment and blank lines, accepts CRLF endings, and
-rejects non-finite values and a non-integer `t`.
+The reader skips '#' comment and blank lines and accepts CRLF endings.
+It, `Dataset.validate` and a float t given to `Dataset` are held to one
+set of value rules, `_first_break`, and refused at its first break.
 """
 
 from __future__ import annotations
@@ -125,6 +126,49 @@ def _header_fields(path, header: list[str]):
     return names, slices
 
 
+def _first_break(table, names, t_float=True):
+    """The first break of the dataset contract in `table`, columns `names`
+    with t first: (row, column or None, message), or None.  The rules, in
+    turn, each at its first row: every value finite; t integral, and within
+    int64 where `t_float` marks it held only as a float; then, where their
+    columns are present, v_lo <= v_hi, v_true between them, delta_lo_i <=
+    delta_hi_i."""
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0]
+        return i, names[j], f"non-finite value {table[i, j]:g}"
+    t = table[:, 0]
+    if (bad := np.flatnonzero(t != np.trunc(t))).size:
+        return bad[0], "t", f"t must be an integer, got {float(t[bad[0]])!r}"
+    if (bad := np.flatnonzero((np.abs(t) >= 2.0**63) & t_float)).size:
+        return bad[0], "t", f"t out of the int64 range, got {t[bad[0]]:g}"
+    at = {name: j for j, name in enumerate(names)}
+    if "v_lo" not in at:
+        return None
+    lo, hi = table[:, at["v_lo"]], table[:, at["v_hi"]]
+    if (bad := np.flatnonzero(lo > hi)).size:
+        return bad[0], None, f"v_lo={lo[bad[0]]:g} exceeds v_hi={hi[bad[0]]:g}"
+    if "v_true" in at:
+        v = table[:, at["v_true"]]
+        if (bad := np.flatnonzero((v < lo) | (v > hi))).size:
+            i = bad[0]
+            return i, "v_true", f"v_true={v[i]:g} outside its bounds [{lo[i]:g}, {hi[i]:g}]"
+    if "delta_lo_1" in at:
+        a, b = at["delta_lo_1"], at["delta_hi_1"]  # n columns each, side by side
+        if (bad := np.argwhere(table[:, a:b] > table[:, b : 2 * b - a])).size:
+            i, j = bad[0]
+            return i, None, (f"delta_lo_{j + 1}={table[i, a + j]:g} exceeds "
+                             f"delta_hi_{j + 1}={table[i, b + j]:g}")
+    return None
+
+
+def _check(table, names, where, t_float=True) -> None:
+    """Refuse the first break of `table`, located as where(row)[, column]."""
+    if broken := _first_break(table, names, t_float):
+        i, column, message = broken
+        raise ValueError(where(i) + (f", column '{column}'" if column else "") + f": {message}")
+
+
 @dataclass(eq=False)
 class Dataset:
     """Row-ordered estimation data; optional arrays are None when absent."""
@@ -140,6 +184,8 @@ class Dataset:
     delta_high: np.ndarray | None = None
 
     def __post_init__(self):
+        if (t := np.asarray(self.t)).dtype.kind == "f":  # the int64 cast would hide a bad t
+            _check(t.reshape(-1, 1), ["t"], "row {}".format)
         self.t = np.asarray(self.t, dtype=np.int64)
         self.X = np.asarray(self.X, dtype=float)
         N = self.t.shape[0]
@@ -170,22 +216,8 @@ class Dataset:
         return self.delta_low is not None
 
     def validate(self) -> None:
-        """Value-level checks: every bound finite and ordered, noise bounds honored."""
-        lo, hi = self.v_low, self.v_high
-        bad = np.flatnonzero(~((lo <= hi) & np.isfinite(lo) & np.isfinite(hi)))
-        if bad.size:
-            raise ValueError(f"v_lo > v_hi, or a non-finite noise bound, at rows {bad.tolist()}")
-        if self.v is not None:
-            bad = np.flatnonzero(~((self.v_low <= self.v) & (self.v <= self.v_high)))
-            if bad.size:
-                raise ValueError(f"v outside its declared bounds at rows {bad.tolist()}")
-        if self.is_ltv:
-            lo, hi = self.delta_low, self.delta_high
-            bad = ~((lo <= hi) & np.isfinite(lo) & np.isfinite(hi))
-            if bad.any():
-                row = int(np.flatnonzero(bad.any(axis=1))[0])
-                raise ValueError(f"delta_lo > delta_hi, or a non-finite drift bound, at row "
-                                 f"{row}, components {np.flatnonzero(bad[row]).tolist()}")
+        """Refuse the first break of the dataset contract, naming its row."""
+        _check(np.column_stack(self._blocks()), self.columns(), "row {}".format, t_float=False)
 
     def columns(self) -> list[str]:
         return [
@@ -195,9 +227,13 @@ class Dataset:
             for name in _column_names(column, grouped, self.n)
         ]
 
-    def to_csv(self, path) -> None:
+    def _blocks(self) -> list:
+        """The arrays of the present fields, in column order."""
         blocks = (getattr(self, field) for field, _, _ in _DATASET_SCHEMA)
-        _write_table(path, self.columns(), [b for b in blocks if b is not None])
+        return [b for b in blocks if b is not None]
+
+    def to_csv(self, path) -> None:
+        _write_table(path, self.columns(), self._blocks())
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
@@ -245,40 +281,8 @@ class Dataset:
                 except (ValueError, OverflowError):
                     t_from_float[i] = True
 
-        def reject(message, i, name=None):
-            where = f"line {linenos[i]}" + ("" if name is None else f", column '{name}'")
-            raise ValueError(f"{path}: {where}: {message}")
-
-        bad = np.argwhere(~np.isfinite(data))
-        if bad.size:
-            i, j = bad[0]
-            reject(f"non-finite value {data[i, j]:g}", i, names[j])
-        bad = np.flatnonzero(data[:, 0] != np.trunc(data[:, 0]))
-        if bad.size:
-            reject(f"t must be an integer, got {float(data[bad[0], 0])!r}", bad[0], "t")
-        rows = np.flatnonzero(t_from_float)
-        bad = rows[np.abs(data[rows, 0]) >= 2.0**63]
-        if bad.size:
-            reject(f"t out of the int64 range, got {data[bad[0], 0]:g}", bad[0], "t")
-        t[rows] = data[rows, 0]
-        lo, hi = data[:, slices["v_low"]], data[:, slices["v_high"]]
-        bad = np.flatnonzero(lo > hi)
-        if bad.size:
-            i = bad[0]
-            reject(f"v_lo={lo[i]:g} exceeds v_hi={hi[i]:g}", i)
-        if "v" in slices:
-            v = data[:, slices["v"]]
-            bad = np.flatnonzero((v < lo) | (v > hi))
-            if bad.size:
-                i = bad[0]
-                reject(f"v_true={v[i]:g} outside its bounds [{lo[i]:g}, {hi[i]:g}]", i, "v_true")
-        if "delta_low" in slices:
-            lo, hi = data[:, slices["delta_low"]], data[:, slices["delta_high"]]
-            bad = np.argwhere(lo > hi)
-            if bad.size:
-                i, j = bad[0]
-                reject(f"delta_lo_{j + 1}={lo[i, j]:g} exceeds delta_hi_{j + 1}={hi[i, j]:g}", i)
-        # every value check of `validate` is made above, naming the line
+        _check(data, names, lambda i: f"{path}: line {linenos[i]}", t_from_float)
+        t[t_from_float] = data[t_from_float, 0]
         return cls(t=t, **{f: data[:, sl].copy() for f, sl in slices.items() if f != "t"})
 
 

@@ -131,6 +131,7 @@ def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
     without building box objects.
     """
     n, N = dataset.n, dataset.N
+    spec._check_horizon(N)  # before step 1, not after MAX_EXACT_HORIZON exact steps
     drifts = [None] * N
     if dataset.is_ltv:
         lo, hi = dataset.delta_low, dataset.delta_high
@@ -324,7 +325,6 @@ def estimate_from_csv(input_path, output_path, spec: EstimatorSpec):
     if len(spec.modes) != 1:
         raise ValueError(f"estimate_from_csv runs one mode, got modes {spec.modes}")
     dataset = Dataset.from_csv(input_path)
-    spec._check_horizon(dataset.N)
     trace = run_dataset(dataset, spec)[0]
     audit = comments = None
     if dataset.theta_true is not None:

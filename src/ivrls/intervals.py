@@ -109,7 +109,7 @@ class IntervalVector:
                 f"dimension mismatch: point has {p.shape[0]} components, box has "
                 f"{self.dim}"
             )
-        if slack < 0:
+        if not slack >= 0:  # nan too
             raise ValueError(f"slack must be nonnegative, got {slack}")
         return _within(self.lower, self.upper, p, slack)
 

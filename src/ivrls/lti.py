@@ -90,7 +90,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import add, sub
+from operator import add, index, sub
 
 import numpy as np
 
@@ -109,15 +109,27 @@ __all__ = [
 MAX_EXACT_HORIZON = 100_000
 
 
+def _integer(name: str, value, floor: int | None = None) -> int:
+    """`value` as an int: a non-integer, or one below `floor`, is refused naming `name`."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if floor is not None and value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """The estimator's settings, apart from the data they run on.
 
     The reference RLS (forgetting factor lam, P(0) = p0_scale I, theta(0)
     = 0), the prior box [-prior_radius, prior_radius]^n around theta(0),
-    the radius modes to run (integers for truncation windows, None for
-    exact, each at most once) and whether to refine by running
-    intersection.  Defaults are those of the reference studies.
+    the radius modes to run (integers >= 1 for truncation windows, None
+    for exact, each at most once) and whether to refine by running
+    intersection.  Defaults are those of the reference studies.  Integer
+    settings, here and in subclasses, pass `_integer`: 2.5 is refused.
     """
 
     lam: float = 0.99
@@ -133,12 +145,11 @@ class EstimatorSpec:
             raise ValueError(f"p0_scale must be finite and positive, got {self.p0_scale}")
         if not 0 < self.prior_radius < math.inf:
             raise ValueError(f"prior_radius must be finite and positive, got {self.prior_radius}")
-        modes = tuple(None if m is None else int(m) for m in self.modes)
+        modes = tuple(None if m is None else _integer("truncation window", m, 1)
+                      for m in self.modes)
         if not modes:
             raise ValueError("modes must not be empty")
         for i, m in enumerate(modes):
-            if m is not None and m < 1:
-                raise ValueError(f"truncation window must be >= 1, got {m}")
             if m in modes[:i]:  # its output file would be written twice
                 raise ValueError(f"mode {'exact' if m is None else m} is given more than once")
         object.__setattr__(self, "modes", modes)
@@ -172,10 +183,7 @@ class EstimatorConfig:
                 f"identifier has {self.rls.n} parameters"
             )
         if self.m is not None:
-            m = int(self.m)
-            if m < 1:
-                raise ValueError(f"m must be >= 1, got {self.m}")
-            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "m", _integer("m", self.m, 1))
 
 
 @dataclass(frozen=True, eq=False)

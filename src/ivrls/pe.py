@@ -36,6 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .lti import _integer
 from .rls import RlsConfig, _gain_update
 
 __all__ = [
@@ -73,9 +74,7 @@ def pe_levels(X, T: int) -> tuple[float, float]:
     """
     X = _regressors(X)
     N = X.shape[0]
-    T = int(T)
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _integer("T", T, 1)
     if N < T:
         raise ValueError(f"need at least T={T} regressors, got {N}")
     n = X.shape[1]
@@ -118,9 +117,7 @@ def gamma_bounds(
     Returns (gamma1, gamma2, delta1, delta2).
     """
     X = _regressors(X)
-    T = int(T)
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    T = _integer("T", T, 1)
     if X.shape[0] < T - 1:
         raise ValueError(f"need at least T-1={T - 1} regressors, got {X.shape[0]}")
     if alpha <= 0.0:
@@ -169,8 +166,7 @@ def m_star(n: int, gamma1: float, gamma2: float, lam: float) -> float:
 
 
 def _check_constants(n: int, gamma1: float, gamma2: float, lam: float) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _integer("n", n, 1)
     if not 0.0 < gamma1 <= gamma2:
         raise ValueError(f"need 0 < gamma1 <= gamma2, got {gamma1}, {gamma2}")
     if not 0.0 < lam < 1.0:
@@ -192,9 +188,7 @@ def iss_envelope(
 
     noise_history holds v(1..t) (longer histories are truncated to t).
     """
-    t = int(t)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = _integer("t", t, 0)
     if gamma1 <= 0.0:
         raise ValueError(f"gamma1 must be positive, got {gamma1}")
     if not 0.0 < lam <= 1.0:
@@ -228,9 +222,7 @@ def asymptotic_radius_bound(
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     if eta_q < 0.0 or eta_v < 0.0:
         raise ValueError("eta_q and eta_v must be nonnegative")
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _integer("m", m, 1)
     contraction = c * rho**m
     if contraction >= 1.0:
         raise ValueError(
@@ -314,7 +306,7 @@ def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeRep
     """
     X = _regressors(X)
     N, n = X.shape
-    T = 2 * n if T is None else int(T)
+    T = 2 * n if T is None else _integer("T", T, 1)
     alpha, beta = pe_levels(X, T)
     norms = np.linalg.norm(X, axis=1)
     h_min = float(norms.min())

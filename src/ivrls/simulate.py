@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .lti import EstimatorSpec
+from .lti import EstimatorSpec, _integer
 
 __all__ = ["SimConfig", "generate_lti", "generate_ltv",
            "REFERENCE_THETA", "REFERENCE_DRIFT_RADIUS", "REFERENCE_LTV"]
@@ -47,7 +47,7 @@ class SimConfig(EstimatorSpec):
 
     drift_radius switches the plant to the time-varying variant.  Defaults
     reproduce the constant-parameter reference study; REFERENCE_LTV is the
-    drifting one.  Every setting must be finite.
+    drifting one.  Every setting must be finite, and every count an integer.
     """
 
     theta_true: tuple = REFERENCE_THETA
@@ -62,6 +62,9 @@ class SimConfig(EstimatorSpec):
     workers: int = 1
 
     def __post_init__(self):
+        for name, floor in (("n_a", None), ("n_b", None), ("horizon", 1), ("runs", 1),
+                            ("seed", 0), ("workers", 1)):  # numpy takes no negative seed
+            object.__setattr__(self, name, _integer(name, getattr(self, name), floor))
         n = self.n_a + self.n_b
         if self.n_a < 0 or self.n_b < 0 or n < 1:
             raise ValueError(f"need n_a, n_b >= 0 with n_a + n_b >= 1, got {self.n_a}, {self.n_b}")
@@ -76,12 +79,6 @@ class SimConfig(EstimatorSpec):
             raise ValueError(
                 f"noise_half_width must be finite and >= 0, got {self.noise_half_width}"
             )
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         super().__post_init__()
         self._check_horizon(self.horizon)
         if self.drift_radius is not None:
@@ -93,8 +90,6 @@ class SimConfig(EstimatorSpec):
             object.__setattr__(self, "drift_radius", dr)
         if not 0 < self.drift_period < math.inf:
             raise ValueError(f"drift_period must be finite and positive, got {self.drift_period}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def n(self) -> int:

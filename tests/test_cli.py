@@ -382,6 +382,21 @@ def test_analyze_pe_subcommand(tmp_path, capsys):
     assert "alpha=" in capsys.readouterr().out
 
 
+def test_analyze_pe_takes_eta_v_as_the_noise_radius(tmp_path):
+    ds = generate_lti(SimConfig(horizon=60), seed=5)
+    ds.to_csv(tmp_path / "symmetric.csv")
+    # the same regressors under the offset bounds [0, 0.4]: the same radius 0.2
+    ds.v, ds.v_low, ds.v_high = None, ds.v_low + 0.2, ds.v_high + 0.2
+    ds.to_csv(tmp_path / "offset.csv")
+    reports = []
+    for name in ("symmetric", "offset"):
+        out = tmp_path / name
+        assert main(["analyze-pe", "--in", str(tmp_path / f"{name}.csv"), "--out", str(out)]) == 0
+        reports.append((out / "pe_report.txt").read_text())
+    assert "eta_v=0.20000000000000001\n" in reports[1]
+    assert reports[1] == reports[0]
+
+
 def test_sweep_lambda_subcommand(tmp_path):
     out = tmp_path / "sw"
     rc = main(

@@ -174,7 +174,8 @@ def test_validate_checks_v_within_bounds():
         v_high=[0.1],
         v=[0.5],
     )
-    with pytest.raises(ValueError, match="outside"):
+    message = "row 0, column 'v_true': v_true=0.5 outside its bounds [-0.1, 0.1]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ds.validate()
 
 
@@ -184,16 +185,41 @@ def test_validate_rejects_nan_values_naming_the_rows():
     ds.validate()
     ds.delta_low[2] = 1.0
     ds.delta_high[1, 1] = np.nan
-    # the first bad row, with its bad components
-    with pytest.raises(ValueError, match=r"drift bound, at row 1, components \[1\]$"):
+    # the first break of the first rule broken, as `from_csv` words it, at a 0-based row
+    with pytest.raises(ValueError, match=r"^row 1, column 'delta_hi_2': non-finite value nan$"):
+        ds.validate()
+    ds.delta_high[1, 1] = 0.1
+    with pytest.raises(ValueError, match=r"^row 2: delta_lo_1=1 exceeds delta_hi_1=0.1$"):
         ds.validate()
     ds.v_high[2] = np.nan
-    with pytest.raises(ValueError, match=r"^v_lo > v_hi, or a non-finite noise bound, at rows \[2\]$"):
+    with pytest.raises(ValueError, match=r"^row 2, column 'v_hi': non-finite value nan$"):
+        ds.validate()
+    ds.v_high[2] = -0.2
+    with pytest.raises(ValueError, match=r"^row 2: v_lo=-0.1 exceeds v_hi=-0.2$"):
         ds.validate()
     ds.v_high[2] = 0.1
-    ds.v = np.array([0.0, np.nan, 0.0])
-    with pytest.raises(ValueError, match=r"^v outside its declared bounds at rows \[1\]$"):
+    ds.X[0, 1] = np.inf  # every value, not only the bounds
+    with pytest.raises(ValueError, match=r"^row 0, column 'x_2': non-finite value inf$"):
         ds.validate()
+    ds.X[0, 1] = 0.0
+    ds.v = np.array([0.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match=r"^row 1, column 'v_true': non-finite value nan$"):
+        ds.validate()
+
+
+@pytest.mark.filterwarnings("error")  # the int64 cast warned on a nan t
+@pytest.mark.parametrize("t, message", [
+    ([1, 1.5, 3], "row 1, column 't': t must be an integer, got 1.5"),
+    ([np.nan, 2, 3], "row 0, column 't': non-finite value nan"),
+    ([1, 2, 1e19], "row 2, column 't': t out of the int64 range, got 1e+19"),
+    ([1, -2.0**63, 3], "row 1, column 't': t out of the int64 range, got -9.22337e+18"),
+])
+def test_a_float_t_that_is_no_int64_is_refused_before_the_cast(t, message):
+    columns = dict(X=np.zeros((3, 1)), y=np.zeros(3), v_low=np.zeros(3), v_high=np.zeros(3))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(t=t, **columns)
+    # an integral float t is taken by value
+    assert Dataset(t=[1.0, 2e0, 3.0], **columns).t.tolist() == [1, 2, 3]
 
 
 def test_delta_groups_must_come_together():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from operator import attrgetter
@@ -414,7 +415,11 @@ def test_a_bad_drift_row_fails_naming_its_step(side, row, component, value):
     with pytest.raises(ValueError, match=rf"^step {row + 1}: drift bound inversion .* "
                                          rf"at components \[{component}\]$"):
         run_dataset(ds, config)
-    with pytest.raises(ValueError, match=rf"at row {row}, components \[{component}\]$"):
+    # `validate` words it as `from_csv` does, at the 0-based row
+    j, high = component + 1, REFERENCE_DRIFT_RADIUS[component]
+    validated = {"delta_low": f"row {row}: delta_lo_{j}=1 exceeds delta_hi_{j}={high:g}",
+                 "delta_high": f"row {row}, column 'delta_hi_{j}': non-finite value nan"}
+    with pytest.raises(ValueError, match=f"^{re.escape(validated[side])}$"):
         ds.validate()
 
 
@@ -429,3 +434,16 @@ def test_a_bad_sample_fails_naming_its_step(column, index, value, cause):
     getattr(ds, column)[index] = value
     with pytest.raises(ValueError, match=rf"^step 58: {cause}$"):
         run_dataset(ds, config)
+
+
+def test_an_exact_run_beyond_the_cap_is_refused_before_step_1(monkeypatch):
+    ds = generate_lti(SimConfig(horizon=40), seed=5)  # made in memory, not read from a file
+    monkeypatch.setattr(lti, "MAX_EXACT_HORIZON", 30)
+    calls, real = [], lti.rls_step
+    monkeypatch.setattr(lti, "rls_step", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(ValueError, match=r"^horizon 40 exceeds the exact-mode cap 30; "
+                                         r"use a truncation window for long runs$"):
+        run_dataset(ds, EstimatorSpec(modes=(20, None)))
+    assert calls == []
+    # only an exact mode is capped
+    assert len(run_dataset(ds, EstimatorSpec(modes=(20,)))[0].t) == 40 and len(calls) == 40

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -179,8 +181,9 @@ def test_contains_boundary_and_slack():
     assert not box.contains([1.0 + 1e-12])
     assert box.contains([1.0 + 1e-12], slack=1e-9)
     assert not box.contains([-0.5], slack=0.1)
-    with pytest.raises(ValueError, match="slack"):
-        box.contains([0.5], slack=-1e-9)
+    for slack in (-1e-9, math.nan):  # a nan slack compares false, not negative
+        with pytest.raises(ValueError, match=f"^slack must be nonnegative, got {slack}$"):
+            box.contains([0.5], slack=slack)
 
 
 @pytest.mark.parametrize("center, radius, message", [

@@ -42,6 +42,8 @@ def run_on(dataset, config):
 def test_config_validation():
     with pytest.raises(ValueError, match="m must be"):
         make_config(m=0)
+    with pytest.raises(ValueError, match=r"^m must be an integer, got 2\.5$"):
+        make_config(m=2.5)
     with pytest.raises(ValueError, match="components"):
         EstimatorConfig(
             rls=RlsConfig(theta0=np.zeros(3), P0=np.eye(3), lam=0.9),

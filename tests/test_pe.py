@@ -315,6 +315,12 @@ X3 = np.eye(2)[[0, 1, 0]]
     (eta_q_bound, (2.0, 1.0, 0.9, 0.0, 1.0), "need 0 < gamma1 <= gamma2, got 2.0, 1.0"),
     (eta_q_bound, (1.0, 2.0, 0.0, 0.0, 1.0), "lam must lie in (0, 1], got 0.0"),
     (eta_q_bound, (1.0, 2.0, 0.9, 2.0, 1.0), "need 0 <= h_min <= h_max, got 2.0, 1.0"),
+    # a count or a window is an integer, never truncated
+    (pe_levels, (X3, 2.5), "T must be an integer, got 2.5"),
+    (gamma_bounds, (X3, 2.0, 0.9, np.eye(2), 1.0, 2.0), "T must be an integer, got 2.0"),
+    (contraction_constants, (2.0, 1.0, 2.0, 0.9), "n must be an integer, got 2.0"),
+    (iss_envelope, (1.5, 0.9, 1.0, 1.0, 1.0, [0.1, 0.1]), "t must be an integer, got 1.5"),
+    (asymptotic_radius_bound, (1.0, 0.5, 1.0, 1.0, 3.5), "m must be an integer, got 3.5"),
 ])
 def test_each_certificate_refuses_inputs_outside_its_assumptions(func, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

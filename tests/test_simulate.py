@@ -63,6 +63,12 @@ nan, inf = math.nan, math.inf
     (dict(seed=-1), "seed must be >= 0, got -1"),
     (dict(horizon=100_001, modes=(20, None)),
      "horizon 100001 exceeds the exact-mode cap 100000; use a truncation window for long runs"),
+    (dict(modes=(20, 2.5)), "truncation window must be an integer, got 2.5"),
+    (dict(horizon=2.5), "horizon must be an integer, got 2.5"),
+    (dict(runs=3.0), "runs must be an integer, got 3.0"),
+    (dict(seed=nan), "seed must be an integer, got nan"),
+    (dict(workers="2"), "workers must be an integer, got '2'"),
+    (dict(n_a=1.5), "n_a must be an integer, got 1.5"),
 ])
 def test_a_setting_out_of_range_or_not_finite_is_refused_naming_it(settings, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
