@@ -15,8 +15,10 @@ CSV layout (header mandatory, one row per step):
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly; equal datasets therefore produce byte-identical files.
 The reader skips '#' comment and blank lines and accepts CRLF endings.
-It, `Dataset.validate` and a float t given to `Dataset` are held to one
-set of value rules, `_first_break`, and refused at its first break.
+It, `Dataset.validate` and a float t given to `Dataset` or to
+`write_estimates_csv` are held to one set of value rules, `_first_break`,
+and refused at its first break; an integer t past the int64 range is
+refused at its row too.
 """
 
 from __future__ import annotations
@@ -169,6 +171,19 @@ def _check(table, names, where, t_float=True) -> None:
         raise ValueError(where(i) + (f", column '{column}'" if column else "") + f": {message}")
 
 
+def _t_column(t) -> np.ndarray:
+    """t as int64, refusing at its row a t that is no int64, which the cast
+    would truncate, wrap or fail on without naming it."""
+    t = np.asarray(t)
+    if t.dtype.kind == "f":
+        _check(t.reshape(-1, 1), ["t"], "row {}".format)
+    elif t.dtype.kind in "uO":  # uint64, or Python ints past it
+        for i, value in enumerate(t.tolist()):
+            if not -2**63 <= value < 2**63:
+                raise ValueError(f"row {i}, column 't': t out of the int64 range, got {value}")
+    return np.asarray(t, dtype=np.int64)
+
+
 @dataclass(eq=False)
 class Dataset:
     """Row-ordered estimation data; optional arrays are None when absent."""
@@ -184,9 +199,7 @@ class Dataset:
     delta_high: np.ndarray | None = None
 
     def __post_init__(self):
-        if (t := np.asarray(self.t)).dtype.kind == "f":  # the int64 cast would hide a bad t
-            _check(t.reshape(-1, 1), ["t"], "row {}".format)
-        self.t = np.asarray(self.t, dtype=np.int64)
+        self.t = _t_column(self.t)
         self.X = np.asarray(self.X, dtype=float)
         N = self.t.shape[0]
         if self.X.ndim != 2 or self.X.shape[0] != N:
@@ -308,7 +321,7 @@ def write_estimates_csv(
     across-run count there.  Trailing '#' comment lines carry optional
     audit summaries; readers that skip comments see plain CSV.
     """
-    t = np.asarray(t).astype(int)
+    t = _t_column(t)
     N, n = np.shape(point)
     blocks = [("theta_hat", point), ("c", center), ("r", radius),
               ("lo", lower), ("hi", upper)]

@@ -127,8 +127,12 @@ def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
     `lti._run_modes` steps the modes on one per-sample stage, so each
     sample goes through RLS and the center recursion once.  A run of drift
     rows with the same bits shares one drift box, which the stage takes
-    apart once.  The estimates' bound arrays are copied into the traces
-    without building box objects.
+    apart once.  Each sample's raw and refined bounds of every mode land
+    in one (N, modes, 4 or 2, n) block in one assignment, without building
+    box objects.  Apart from its own `t`, each trace holds views shared
+    with the other modes: one (N, n) `point`, that block, its halves
+    (center and radius) and one (N, modes) flag array.  So a kept trace
+    keeps the whole block.
     """
     n, N = dataset.n, dataset.N
     spec._check_horizon(N)  # before step 1, not after MAX_EXACT_HORIZON exact steps
@@ -146,39 +150,35 @@ def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
                 raise ValueError(f"step {s + 1}: drift {exc}") from None
         drifts = [boxes[j] for j in (np.cumsum(new) - 1).tolist()]
     base = estimator_config(n, spec.lam, spec.p0_scale, spec.prior_radius, None, spec.monotonic)
-    shape = (N, n)
-    mono = spec.monotonic
-    point = np.zeros(shape)  # the same for every mode: read off the shared stage
-    traces = [
+    mono, modes = spec.monotonic, len(spec.modes)
+    # per sample and mode: lower, upper[, refined lower, refined upper]
+    bounds = np.empty((N, modes, 4 if mono else 2, n))
+    point = np.empty((N, n))  # the same for every mode: read off the shared stage
+    inconsistent = np.empty((N, modes), dtype=int)
+    samples = zip(dataset.X, dataset.y.tolist(), dataset.v_low.tolist(),
+                  dataset.v_high.tolist(), drifts)
+    for i, outs in enumerate(_run_modes(base, spec.modes, samples)):
+        bounds[i] = [(out.lower, out.upper, out.refined.lower, out.refined.upper) if mono
+                     else (out.lower, out.upper) for out in outs]
+        inconsistent[i] = [out.inconsistent for out in outs]
+        point[i] = outs[0].point
+    lower, upper, *refined = np.moveaxis(bounds, 2, 0)  # each (N, modes, n)
+    center, radius = _halves(add, upper, lower), _halves(sub, upper, lower)
+    return [
         ModeTrace(
             label=mode_label(m),
             t=dataset.t.copy(),
             point=point,
-            center=np.zeros(shape),
-            radius=np.zeros(shape),
-            lower=np.zeros(shape),
-            upper=np.zeros(shape),
-            mono_lower=np.zeros(shape) if mono else None,
-            mono_upper=np.zeros(shape) if mono else None,
-            inconsistent=np.zeros(N, dtype=int),
+            center=center[:, j],
+            radius=radius[:, j],
+            lower=lower[:, j],
+            upper=upper[:, j],
+            mono_lower=refined[0][:, j] if mono else None,
+            mono_upper=refined[1][:, j] if mono else None,
+            inconsistent=inconsistent[:, j],
         )
-        for m in spec.modes
+        for j, m in enumerate(spec.modes)
     ]
-    samples = zip(dataset.X, dataset.y.tolist(), dataset.v_low.tolist(),
-                  dataset.v_high.tolist(), drifts)
-    for i, outs in enumerate(_run_modes(base, spec.modes, samples)):
-        for out, trace in zip(outs, traces):
-            trace.lower[i] = out.lower
-            trace.upper[i] = out.upper
-            if mono:
-                trace.mono_lower[i] = out.refined.lower
-                trace.mono_upper[i] = out.refined.upper
-            trace.inconsistent[i] = out.inconsistent
-        point[i] = out.point
-    for trace in traces:
-        trace.center[:] = _halves(add, trace.upper, trace.lower)
-        trace.radius[:] = _halves(sub, trace.upper, trace.lower)
-    return traces
 
 
 def _audit_trace(trace: ModeTrace, truth: np.ndarray, run: int, seed: int) -> RunAudit:

@@ -120,22 +120,23 @@ def gamma_bounds(
     T = _integer("T", T, 1)
     if X.shape[0] < T - 1:
         raise ValueError(f"need at least T-1={T - 1} regressors, got {X.shape[0]}")
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # in this form a nan is refused too
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if beta < alpha:
+    if not beta >= alpha:
         raise ValueError(f"beta={beta} must be >= alpha={alpha}")
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lam must lie in (0, 1), got {lam}")
     P0 = np.asarray(P0, dtype=float)
+    if not np.isfinite(P0).all():
+        raise ValueError("P0 must be finite")
 
     Pinv = np.linalg.inv(P0)
     Pinv = 0.5 * (Pinv + Pinv.T)
-    eigs0 = np.linalg.eigvalsh(Pinv)
-    delta1, delta2 = eigs0[0], eigs0[-1]
-    sigma_max_P0inv = eigs0[-1]
-    for t in range(1, T):
-        x = X[t - 1]
+    eigs = np.linalg.eigvalsh(Pinv)
+    delta1, delta2 = eigs[0], eigs[-1]
+    sigma_max_P0inv = delta2
+    for x in X[: T - 1]:
         Pinv = lam * Pinv + np.outer(x, x)
         eigs = np.linalg.eigvalsh(0.5 * (Pinv + Pinv.T))
         delta1 = min(delta1, eigs[0])
@@ -189,7 +190,7 @@ def iss_envelope(
     noise_history holds v(1..t) (longer histories are truncated to t).
     """
     t = _integer("t", t, 0)
-    if gamma1 <= 0.0:
+    if not gamma1 > 0.0:
         raise ValueError(f"gamma1 must be positive, got {gamma1}")
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
@@ -216,11 +217,11 @@ def asymptotic_radius_bound(
     provided c rho^m < 1.  Returns (limsup_bound, b_inf_star); raises
     when the window is too short for the certificate (c rho^m >= 1).
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError(f"c must be positive, got {c}")
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if eta_q < 0.0 or eta_v < 0.0:
+    if not (eta_q >= 0.0 and eta_v >= 0.0):
         raise ValueError("eta_q and eta_v must be nonnegative")
     m = _integer("m", m, 1)
     contraction = c * rho**m
@@ -246,7 +247,7 @@ def eta_q_bound(
         raise ValueError(f"need 0 < gamma1 <= gamma2, got {gamma1}, {gamma2}")
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"lam must lie in (0, 1], got {lam}")
-    if h_min < 0.0 or h_max < h_min:
+    if not 0.0 <= h_min <= h_max:
         raise ValueError(f"need 0 <= h_min <= h_max, got {h_min}, {h_max}")
     return (1.0 / gamma1) * h_max / (lam + h_min**2 / gamma2)
 

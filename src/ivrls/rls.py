@@ -121,10 +121,11 @@ def _gain_update(P: np.ndarray, x: np.ndarray, lam: float, t: int):
             "positive definiteness"
         )
     q = Px / denom
-    P = (P - np.multiply.outer(q, Px)) / lam
-    P = 0.5 * (P + P.T)
-    if not math.isfinite(np.add.reduce(P, axis=None)):
-        raise ArithmeticError(f"covariance overflow at t={t}: P is no longer finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
+        P = (P - np.multiply.outer(q, Px)) / lam
+        P = 0.5 * (P + P.T)
+        if not math.isfinite(np.add.reduce(P, axis=None)):
+            raise ArithmeticError(f"covariance overflow at t={t}: P is no longer finite")
     return q, P
 
 

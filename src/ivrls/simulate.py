@@ -157,22 +157,23 @@ def generate_lti(config: SimConfig, seed: int) -> Dataset:
     return _simulate(config, seed, theta_path)
 
 
-def drift_increment(config: SimConfig, t: int) -> np.ndarray:
-    """delta(t) = r_delta sin(2 pi t / period) for the time-varying plant."""
+def drift_increment(config: SimConfig, t) -> np.ndarray:
+    """delta(t) = r_delta sin(2 pi t / period) for the time-varying plant;
+    a column of steps t gives one row per step."""
     r = np.asarray(config.drift_radius, dtype=float)
     return r * np.sin(2.0 * np.pi * t / config.drift_period)
 
 
 def generate_ltv(config: SimConfig, seed: int) -> Dataset:
-    """One run of the drifting plant; emits the true trajectory and drift boxes."""
+    """One run of the drifting plant; emits the true trajectory and drift boxes.
+
+    theta(t) is one running sum of theta(0), delta(1), ..., delta(t), added
+    in step order, so it has the bits of a per-step loop."""
     if not config.is_ltv:
         raise ValueError("config has no drift_radius; use generate_lti")
-    N, n = config.horizon, config.n
-    theta = np.asarray(config.theta_true, dtype=float)
-    theta_path = np.zeros((N, n))
-    for i in range(N):
-        theta = theta + drift_increment(config, i + 1)
-        theta_path[i] = theta
+    N = config.horizon
+    steps = drift_increment(config, np.arange(1, N + 1)[:, None])
+    theta_path = np.add.accumulate(np.vstack((config.theta_true, steps)))[1:]
     r = np.asarray(config.drift_radius, dtype=float)
     return _simulate(
         config,

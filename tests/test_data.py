@@ -222,6 +222,33 @@ def test_a_float_t_that_is_no_int64_is_refused_before_the_cast(t, message):
     assert Dataset(t=[1.0, 2e0, 3.0], **columns).t.tolist() == [1, 2, 3]
 
 
+@pytest.mark.parametrize("t, message", [
+    ([2**63], "row 0, column 't': t out of the int64 range, got 9223372036854775808"),
+    (np.array([1, 2**63, 3], dtype=np.uint64),
+     "row 1, column 't': t out of the int64 range, got 9223372036854775808"),
+    ([1, -2**63 - 1, 3], "row 1, column 't': t out of the int64 range, got -9223372036854775809"),
+    ([1, 2, 2**64], "row 2, column 't': t out of the int64 range, got 18446744073709551616"),
+])
+def test_an_integer_t_past_int64_is_refused_naming_its_row(t, message):
+    N = len(t)
+    columns = dict(X=np.zeros((N, 1)), y=np.zeros(N), v_low=np.zeros(N), v_high=np.zeros(N))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(t=t, **columns)
+    # the largest int64 is kept exactly, from any integer type
+    top = np.array([2**63 - 1] * N, dtype=np.uint64)
+    assert Dataset(t=top, **columns).t.tolist() == [2**63 - 1] * N
+
+
+def test_write_estimates_csv_refuses_a_fractional_t_before_writing(tmp_path):
+    zeros = np.zeros((2, 1))
+    path = tmp_path / "est.csv"
+    with pytest.raises(ValueError, match=r"^row 0, column 't': t must be an integer, got 1\.5$"):
+        write_estimates_csv(path, [1.5, 2.7], zeros, zeros, zeros, zeros, zeros)
+    assert not path.exists()
+    write_estimates_csv(path, [1.0, 2.0], zeros, zeros, zeros, zeros, zeros)
+    assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == ["1", "2"]
+
+
 def test_delta_groups_must_come_together():
     with pytest.raises(ValueError, match="together"):
         Dataset(

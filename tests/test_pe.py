@@ -321,6 +321,17 @@ X3 = np.eye(2)[[0, 1, 0]]
     (contraction_constants, (2.0, 1.0, 2.0, 0.9), "n must be an integer, got 2.0"),
     (iss_envelope, (1.5, 0.9, 1.0, 1.0, 1.0, [0.1, 0.1]), "t must be an integer, got 1.5"),
     (asymptotic_radius_bound, (1.0, 0.5, 1.0, 1.0, 3.5), "m must be an integer, got 3.5"),
+    # a nan is outside every assumption, never skipped or carried into a bound
+    (gamma_bounds, (X3, 2, 0.9, np.eye(2), math.nan, 2.0), "alpha must be positive, got nan"),
+    (gamma_bounds, (X3, 2, 0.9, np.eye(2), 1.0, math.nan), "beta=nan must be >= alpha=1.0"),
+    (gamma_bounds, (X3, 2, 0.9, np.diag([1.0, math.nan]), 1.0, 2.0), "P0 must be finite"),
+    (gamma_bounds, (X3, 2, 0.9, np.diag([1.0, math.inf]), 1.0, 2.0), "P0 must be finite"),
+    (iss_envelope, (1, 0.9, 1.0, math.nan, 1.0, [0.1]), "gamma1 must be positive, got nan"),
+    (asymptotic_radius_bound, (math.nan, 0.5, 1.0, 1.0, 3), "c must be positive, got nan"),
+    (asymptotic_radius_bound, (1.0, 0.5, math.nan, 1.0, 3), "eta_q and eta_v must be nonnegative"),
+    (asymptotic_radius_bound, (1.0, 0.5, 1.0, math.nan, 3), "eta_q and eta_v must be nonnegative"),
+    (eta_q_bound, (1.0, 2.0, 0.9, math.nan, 1.0), "need 0 <= h_min <= h_max, got nan, 1.0"),
+    (eta_q_bound, (1.0, 2.0, 0.9, 0.0, math.nan), "need 0 <= h_min <= h_max, got 0.0, nan"),
 ])
 def test_each_certificate_refuses_inputs_outside_its_assumptions(func, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

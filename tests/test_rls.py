@@ -155,17 +155,30 @@ def test_gain_denominator_guard():
         rls_step(state, np.array([1.0]), 0.0)
 
 
-def test_covariance_overflow_fails_at_the_step_it_happens():
+def _wind_up_until_overflow(p0_scale, t):
     # heavy forgetting with one excited direction: the other three
     # diagonal entries of P grow by 1/lam per step until they overflow
     rng = np.random.default_rng(2)
-    state = rls_init(RlsConfig(theta0=np.zeros(4), P0=1000.0 * np.eye(4), lam=0.1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(304):
-            state = rls_step(state, np.array([rng.normal(), 0.0, 0.0, 0.0]), rng.normal())
-        assert np.all(np.isfinite(state.P))
-        with pytest.raises(ArithmeticError, match="covariance overflow at t=305"):
-            rls_step(state, np.array([rng.normal(), 0.0, 0.0, 0.0]), rng.normal())
+    state = rls_init(RlsConfig(theta0=np.zeros(4), P0=p0_scale * np.eye(4), lam=0.1))
+    for _ in range(t - 1):
+        state = rls_step(state, np.array([rng.normal(), 0.0, 0.0, 0.0]), rng.normal())
+    assert np.all(np.isfinite(state.P))
+    with pytest.raises(ArithmeticError, match=f"^covariance overflow at t={t}: "):
+        rls_step(state, np.array([rng.normal(), 0.0, 0.0, 0.0]), rng.normal())
+
+
+@pytest.mark.filterwarnings("error")  # the refusal is all a windup prints: no numpy warning
+def test_covariance_overflow_fails_at_the_step_it_happens():
+    _wind_up_until_overflow(1000.0, 305)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p0_scale, t", [(1.0, 308), (3.0, 308), (7.0, 307)])
+def test_an_overflow_in_any_op_of_the_update_is_refused_without_a_warning(p0_scale, t):
+    # the same windup from a smaller P(0); without the update's errstate,
+    # numpy's first overflow warning on these rows came from the add of the
+    # symmetrization, the divide by lam and the final reduce respectively
+    _wind_up_until_overflow(p0_scale, t)
 
 
 def test_states_are_fresh_objects():
