@@ -111,17 +111,23 @@ def rls_init(config: RlsConfig) -> RlsState:
 
 
 def _gain_update(P: np.ndarray, x: np.ndarray, lam: float, t: int):
-    """Gain q(t) and covariance P(t) from P(t-1) and a finite regressor,
-    failing fast at step t when P loses definiteness or overflows."""
-    Px = np.dot(P, x)
-    denom = lam + np.dot(x, Px)
-    if denom <= 0.0 or not math.isfinite(denom):
-        raise ArithmeticError(
-            f"gain denominator {denom:g} at t={t}: covariance lost "
-            "positive definiteness"
-        )
-    q = Px / denom
+    """Gain q(t) and covariance P(t) from a finite P(t-1) and a finite
+    regressor, failing fast at step t when x'Px overflows, P loses
+    definiteness or P overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
+        Px = np.dot(P, x)
+        denom = lam + np.dot(x, Px)
+        if not math.isfinite(denom):
+            raise ArithmeticError(
+                f"regressor out of range at t={t}: the gain denominator lam + x'Px "
+                f"is {denom:g}"
+            )
+        if denom <= 0.0:
+            raise ArithmeticError(
+                f"gain denominator {denom:g} at t={t}: covariance lost "
+                "positive definiteness"
+            )
+        q = Px / denom
         P = (P - np.multiply.outer(q, Px)) / lam
         P = 0.5 * (P + P.T)
         if not math.isfinite(np.add.reduce(P, axis=None)):

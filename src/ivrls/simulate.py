@@ -125,17 +125,21 @@ def _simulate(
     X = np.zeros((N, n))
     for j in range(1, config.n_b + 1):
         X[j:, n_a + j - 1] = u[: max(N - j, 0)]
-    # y(t) for t <= 0 is the zero padding in front of y
-    padded = np.zeros(n_a + N)
-    y = padded[n_a:]
-    for i in range(N):
-        X[i, :n_a] = -padded[i : i + n_a][::-1]
-        y[i] = np.dot(X[i], theta_path[i]) + v[i]
-        if not math.isfinite(y[i]):
+    # -y(t-1), ..., -y(t-n_a) as Python floats; y vanishes for t <= 0,
+    # and its negation is -0.0.  y goes straight into its array, so a long
+    # run builds no list of floats that would raise peak RSS.
+    lags = [-0.0] * n_a
+    y = np.empty(N)
+    for i, (row, theta, v_i) in enumerate(zip(X, theta_path, v.tolist())):
+        row[:n_a] = lags
+        y_i = float(np.dot(row, theta)) + v_i
+        if not math.isfinite(y_i):
             raise ValueError(
                 f"simulated output diverged (non-finite y) at t={i + 1}; "
                 "the chosen parameters make the closed recursion unstable"
             )
+        y[i] = y_i
+        lags = [-y_i, *lags][:n_a]
     a = config.noise_half_width
     return Dataset(
         t=np.arange(1, N + 1),

@@ -4,8 +4,12 @@ Everything here deliberately avoids the library's incremental code
 paths: the batch solver goes through the weighted normal equations,
 transition products are formed by direct multiplication, and box images
 are hulled by exhaustive vertex enumeration or by the closed-form
-|M| r hull over a batch-assembled error map.
+|M| r hull over a batch-assembled error map.  The CSV writer's oracle
+formats every cell of every row, and the ARX oracle builds each sample's
+lagged outputs from a zero-padded output array.
 """
+
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -210,3 +214,35 @@ def study_with_traces(config):
         patch.setattr(ivrls.experiment, "run_dataset", recording)
         result = ivrls.experiment.run_experiment(config)
     return result, traces
+
+
+def rowwise_write_table(path, header, blocks, comments=()):
+    """`data._write_table` as one row format over all columns, applied to
+    every row with `%`: floats at 17 significant digits, integers and
+    booleans as %d, anything else as text."""
+    blocks = [np.asarray(b) for b in blocks]
+    blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+    kinds = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
+    row_fmt = ",".join(kinds.get(b.dtype.kind, "%s")
+                       for b in blocks for _ in range(b.shape[1])) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for cells in zip(*(b.tolist() for b in blocks)):
+            fh.write(row_fmt % tuple(chain.from_iterable(cells)))
+        fh.writelines(f"# {line}\n" for line in comments)
+
+
+def padded_arx(u, v, theta_path, n_a, n_b):
+    """X and y of the ARX plant y(t) = x(t)' theta(t) + v(t): per sample,
+    the lagged outputs are read reversed and negated from y behind a zero
+    padding of n_a entries (so they are -0.0 for t <= 0)."""
+    N, n = theta_path.shape
+    X = np.zeros((N, n))
+    for j in range(1, n_b + 1):
+        X[j:, n_a + j - 1] = u[: max(N - j, 0)]
+    padded = np.zeros(n_a + N)
+    y = padded[n_a:]
+    for i in range(N):
+        X[i, :n_a] = -padded[i : i + n_a][::-1]
+        y[i] = np.dot(X[i], theta_path[i]) + v[i]
+    return X, y

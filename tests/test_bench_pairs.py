@@ -68,3 +68,29 @@ def test_a_failed_run_makes_the_exit_status_nonzero(tmp_path):
     assert done.returncode == 1
     assert done.stdout.count("FAILED: pair") == 2
     assert "pair 1 change seed 1: exit status 1, 1 failed checks" in done.stdout
+
+
+def test_json_out_gathers_each_workloads_summary_and_the_host(tmp_path):
+    log = tmp_path / "calls.jsonl"
+    parent = stub(tmp_path / "parent", "parent", log, rate=100.0)
+    change = stub(tmp_path / "change", "change", log, rate=120.0)
+    out = tmp_path / "BENCH.json"
+    for workload, pairs in (("stream_long", "3"), ("mc_lti", "2"), ("stream_long", "4")):
+        done = bench_pairs("--parent", parent, "--change", change, "--workload", workload,
+                           "--pairs", pairs, "--seed", "41", "--json-out", str(out))
+        assert done.returncode == 0, done.stdout + done.stderr
+    record = json.loads(out.read_text())
+    assert set(record["host"]) == {"cores", "python", "numpy"}
+    assert record["host"]["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+    # a workload run again replaces its entry; the others are kept
+    assert set(record["workloads"]) == {"stream_long", "mc_lti"}
+    stream = record["workloads"]["stream_long"]
+    assert (stream["pairs"], stream["seed"], stream["size"], stream["failures"]) == (
+        4, 41, "full", [])
+    # steps_per_s is 100 + seed at the parent and 120 + seed at the change
+    assert stream["metrics"]["steps_per_s"] == {
+        "better": "higher", "pairs": 4, "wins": 4,
+        "parent": {"q1": 141.75, "median": 142.5, "q3": 143.25},
+        "change": {"q1": 161.75, "median": 162.5, "q3": 163.25}}
+    assert stream["metrics"]["setup_s"]["wins"] == 0  # ties are no win
+    assert record["workloads"]["mc_lti"]["metrics"]["peak_rss_mb"]["pairs"] == 2

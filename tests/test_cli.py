@@ -353,20 +353,34 @@ def test_estimate_rejects_bad_dataset(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _estimate_in_a_subprocess(tmp_path, lines, *options):
+    """`estimate` on a log of `lines` in a fresh interpreter: (exit status, stderr)."""
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join(lines) + "\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ivrls.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "ivrls.cli", "estimate", "--in", str(log),
+                           "--out", str(tmp_path / "o"), *options],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert not (tmp_path / "o").exists()
+    return proc.returncode, proc.stderr
+
+
 def test_covariance_windup_prints_the_error_line_alone(tmp_path):
     # forgetting at lambda 0.1 with only x_1 excited: P overflows at t=305,
     # which numpy used to announce with a RuntimeWarning first
     lines = ["t,y,x_1,x_2,x_3,x_4,v_lo,v_hi"]
     lines += [f"{t},{t % 7 / 10 - 0.3},{t % 7 / 10 - 0.3},0,0,0,-0.1,0.1" for t in range(1, 401)]
-    log = tmp_path / "windup.csv"
-    log.write_text("\n".join(lines) + "\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ivrls.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "ivrls.cli", "estimate", "--in", str(log),
-                           "--out", str(tmp_path / "o"), "--lambda", "0.1", "--m", "20"],
-                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stderr == "error: covariance overflow at t=305: P is no longer finite\n"
-    assert not (tmp_path / "o").exists()
+    assert _estimate_in_a_subprocess(tmp_path, lines, "--lambda", "0.1", "--m", "20") == (
+        1, "error: covariance overflow at t=305: P is no longer finite\n")
+
+
+def test_an_overflowing_regressor_prints_the_error_line_alone(tmp_path):
+    # x'Px overflows at t=5; numpy used to warn in its dot, and the step
+    # was then blamed on P as a lost positive definiteness
+    lines = ["t,y,x_1,v_lo,v_hi"]
+    lines += [f"{t},0.5,{1e200 if t == 5 else 1.0},-0.1,0.1" for t in range(1, 11)]
+    assert _estimate_in_a_subprocess(tmp_path, lines, "--m", "5") == (
+        1, "error: regressor out of range at t=5: the gain denominator lam + x'Px is inf\n")
 
 
 def test_estimate_builds_no_study_config(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ivrls.data import _CHUNK_ROWS, Dataset, write_estimates_csv
+from helpers import rowwise_write_table
+from ivrls.data import _CHUNK_ROWS, Dataset, _chunk_folds, _write_table, write_estimates_csv
 
 
 def make_dataset(rng, N=12, n=3, with_v=True, with_theta=True, with_delta=False):
@@ -156,6 +157,52 @@ def test_roundtrip_longer_than_one_formatting_chunk(tmp_path):
                  "delta_low", "delta_high"):
         a, b = getattr(ds, name), getattr(back, name)
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _mixed_table(N):
+    """A table with a float column constant in the first chunk only, one
+    holding 0.0 then -0.0 in a chunk, a constant inf and nan, varying and
+    constant int and bool columns, and labels that contain '%'."""
+    rng = np.random.default_rng(N)
+    floats = np.zeros((N, 5))
+    floats[:, 0] = np.where(np.arange(N) < _CHUNK_ROWS, 0.25, rng.normal(size=N))
+    floats[N // 2 + 5 :, 1] = -0.0
+    floats[:, 2] = rng.normal(size=N)
+    floats[:, 3] = np.inf
+    floats[:, 4] = np.nan
+    labels = np.array(["50%", "a%sb", "%d", "%%"])[np.arange(N) % 4]
+    blocks = [np.arange(1, N + 1), floats, np.full(N, 7), np.arange(N) % 3 == 0,
+              np.ones(N, dtype=bool), labels, np.full(N, "m%20")]
+    header = ["t", *(f"f_{j}" for j in range(1, 6)), "count", "flag", "on", "label", "mode"]
+    return header, blocks
+
+
+def _constant_table(N):
+    """Every column, of every kind but labels, constant over the whole table."""
+    blocks = [np.full(N, 3), np.full((N, 2), -0.5), np.full(N, -0.0), np.zeros(N, dtype=bool)]
+    return ["t", "a_1", "a_2", "z", "flag"], blocks
+
+
+@pytest.mark.parametrize("N", [0, 1, 127, 128, 129, 300])
+@pytest.mark.parametrize("table", [_mixed_table, _constant_table])
+def test_the_writer_writes_the_bytes_of_the_row_by_row_oracle(table, N, tmp_path):
+    header, blocks = table(N)
+    _write_table(tmp_path / "table.csv", header, blocks, ["audit x=1", "100% of rows"])
+    rowwise_write_table(tmp_path / "oracle.csv", header, blocks, ["audit x=1", "100% of rows"])
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_a_column_is_folded_only_over_chunks_where_its_bits_stay_the_same():
+    N = 2 * _CHUNK_ROWS + 1
+    _, blocks = _mixed_table(N)
+    folds = _chunk_folds(blocks[1], 3)
+    # f_1 is constant in the first chunk only; f_2 turns from 0.0 to -0.0
+    # inside the second chunk; inf and nan keep their bits; the last
+    # chunk has one row, so every column of it is constant
+    assert folds.tolist() == [[True, True, False, True, True],
+                              [False, False, False, True, True],
+                              [True, True, True, True, True]]
+    assert _chunk_folds(blocks[0][:, None], 3)[:, 0].tolist() == [False, False, True]
 
 
 def test_partial_optional_group_rejected(tmp_path):

@@ -181,6 +181,18 @@ def test_an_overflow_in_any_op_of_the_update_is_refused_without_a_warning(p0_sca
     _wind_up_until_overflow(p0_scale, t)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [[1e200], [1e160, 1e160], [-1e300, 1e300]])
+def test_a_regressor_whose_x_px_overflows_is_refused_as_out_of_range(x):
+    # P is finite, x is finite, but P x or x'P x is not: the regressor is
+    # out of range, which says nothing about P's definiteness
+    n = len(x)
+    state = rls_step(rls_init(RlsConfig(theta0=np.zeros(n), P0=np.eye(n), lam=0.9)),
+                     np.ones(n), 0.5)
+    with pytest.raises(ArithmeticError, match="^regressor out of range at t=2: "):
+        rls_step(state, np.array(x), 0.5)
+
+
 def test_states_are_fresh_objects():
     config = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
     s0 = rls_init(config)

@@ -5,12 +5,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from helpers import padded_arx
 from ivrls.lti import EstimatorSpec
 from ivrls.simulate import (
     REFERENCE_DRIFT_RADIUS,
     REFERENCE_LTV,
     REFERENCE_THETA,
     SimConfig,
+    _draw,
     drift_increment,
     generate_lti,
     generate_ltv,
@@ -123,6 +125,23 @@ def test_outputs_satisfy_model_equation():
     np.testing.assert_allclose(ds.y, ds.X @ theta + ds.v, rtol=1e-12, atol=1e-14)
     assert np.all(ds.v >= ds.v_low) and np.all(ds.v <= ds.v_high)
     ds.validate()
+
+
+@pytest.mark.parametrize("drifting", [False, True])
+@pytest.mark.parametrize("n_a, theta", [(1, (-0.5, 0.8)), (2, REFERENCE_THETA),
+                                        (3, (-0.9, 0.4, -0.1, 0.7))])
+def test_x_and_y_have_the_bits_of_the_zero_padded_loop(n_a, theta, drifting):
+    n_b = len(theta) - n_a
+    config = SimConfig(theta_true=theta, n_a=n_a, n_b=n_b, horizon=150)
+    if drifting:
+        config = replace(config, drift_radius=(0.02,) * len(theta), drift_period=17.0)
+    ds = (generate_ltv if drifting else generate_lti)(config, seed=n_a)
+    u, v = _draw(config, n_a)
+    X, y = padded_arx(u, v, ds.theta_true, n_a, n_b)
+    # bytes, so a lag of -0.0 for t <= 0 must stay -0.0
+    assert ds.X.tobytes() == X.tobytes()
+    assert ds.y.tobytes() == y.tobytes()
+    assert np.signbit(ds.X[0, :n_a]).all()
 
 
 def test_zero_noise_width():

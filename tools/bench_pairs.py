@@ -10,10 +10,15 @@ BENCHMARK.json's `better`.  Exits 1 if any run exits nonzero, fails a
 check or prints no result line.
 
     python tools/bench_pairs.py --parent ../parent --change . \\
-        --workload stream_long --pairs 10
+        --workload stream_long --pairs 10 --json-out BENCH.json
 
+With --json-out the same summary goes to a JSON file as well: under
+"workloads", the workload's settings, and per end-to-end metric each
+side's median and quartiles and the change's wins, and the failed runs;
+under "host", the cores, Python and numpy of the runs.  A workload already in the file is
+replaced and the others are kept, so one file gathers several workloads.
 Each checkout's run writes what its benchmark writes (.perfbench_out/
-in that checkout); this script writes nothing else.
+in that checkout); this script writes nothing else but the --json-out file.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -52,13 +58,41 @@ def won(better: str, parent: float, change: float) -> bool:
     return change < parent if better == "lower" else change > parent
 
 
-def summary(better: str, pairs: list[tuple[float, float]]) -> str:
-    """Quartiles of each side and the change's wins, on one line."""
-    quartiles = [np.percentile([pair[k] for pair in pairs], (25, 50, 75)) for k in (0, 1)]
-    sides = "  ".join(f"{side} {q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
-                      for side, q in zip(SIDES, quartiles))
-    wins = sum(won(better, p, c) for p, c in pairs)
-    return f"{sides}  change won {wins} of {len(pairs)} ({better} is better)"
+def quartiles(values) -> dict:
+    q1, median, q3 = np.percentile(values, (25, 50, 75)).tolist()
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def metric_summary(better: str, pairs: list[tuple[float, float]]) -> dict:
+    """Each side's quartiles and the change's wins over `pairs`."""
+    return {"better": better, "pairs": len(pairs),
+            "wins": sum(won(better, p, c) for p, c in pairs),
+            **{side: quartiles([pair[k] for pair in pairs]) for k, side in enumerate(SIDES)}}
+
+
+def summary(stats: dict) -> str:
+    """A metric_summary on one line."""
+    sides = "  ".join(f"{side} {stats[side]['median']:.6g} [{stats[side]['q1']:.6g}, "
+                      f"{stats[side]['q3']:.6g}]" for side in SIDES)
+    return (f"{sides}  change won {stats['wins']} of {stats['pairs']} "
+            f"({stats['better']} is better)")
+
+
+def write_json(path: str, args, stats: dict, failures: list[str]) -> None:
+    """Put this workload's summary into the JSON file at `path`."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except FileNotFoundError:
+        record = {"workloads": {}}
+    record["host"] = {"cores": os.cpu_count(), "python": platform.python_version(),
+                      "numpy": np.__version__}
+    record["workloads"][args.workload] = {
+        "pairs": args.pairs, "seed": args.seed, "seconds": args.seconds,
+        "size": args.size, "metrics": stats, "failures": failures}
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:
@@ -73,6 +107,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", default="30")
     parser.add_argument("--size", choices=("full", "toy"), default="full")
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
+    parser.add_argument("--json-out", help="JSON file to put the summary into as well")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
@@ -96,9 +131,12 @@ def main(argv=None) -> int:
         for name in better:
             if name in got["parent"] and name in got["change"]:
                 values[name].append((got["parent"][name], got["change"][name]))
-    for name, pairs in values.items():
-        if pairs:
-            print(f"{name:18s} {summary(better[name], pairs)}")
+    stats = {name: metric_summary(better[name], pairs)
+             for name, pairs in values.items() if pairs}
+    for name, metric in stats.items():
+        print(f"{name:18s} {summary(metric)}")
+    if args.json_out:
+        write_json(args.json_out, args, stats, failures)
     for failure in failures:
         print(f"FAILED: {failure}")
     return 1 if failures else 0

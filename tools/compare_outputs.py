@@ -6,8 +6,10 @@ temporary directory of its own, so neither checkout is written to.  The
 list covers every subcommand: the two studies with their datasets, with
 refinement off, with two workers and with other modes and horizon; the
 estimator on a constant and a drifting dataset; the excitation report;
-and a forgetting-factor sweep.  Later commands read the datasets the
-earlier ones wrote on the same side.
+a forgetting-factor sweep; and a 3000-sample log and its estimates, whose
+constant columns (noise bounds, true parameter, and the refined box over
+most 128-row chunks) exercise the CSV writer's once-per-chunk formatting.
+Later commands read the datasets the earlier ones wrote on the same side.
 
 Every file either side wrote is compared, and so is each command's exit
 status, stdout and stderr (as the pseudo-file `$ <command>`, with the
@@ -28,7 +30,7 @@ import subprocess
 import sys
 import tempfile
 
-DATA = ("lti/dataset_run000.csv", "ltv/dataset_run000.csv")
+DATA = ("lti/dataset_run000.csv", "ltv/dataset_run000.csv", "long/dataset_run000.csv")
 COMMANDS = (
     "simulate-lti --seed 3 --runs 20 --out lti --write-datasets",
     "simulate-lti --seed 3 --runs 20 --out lti_plain --monotonic false",
@@ -43,6 +45,8 @@ COMMANDS = (
     f"analyze-pe --in {DATA[0]} --out pe_window --window 12",
     f"analyze-pe --in {DATA[1]} --out pe_ltv",
     "sweep-lambda --seed 3 --out sweep --lambdas 0.5,0.9,0.99",
+    "simulate-lti --seed 3 --runs 1 --horizon 3000 --modes 50 --out long --write-datasets",
+    f"estimate --in {DATA[2]} --out est_long --m 50",
 )
 
 
