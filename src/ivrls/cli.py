@@ -180,7 +180,8 @@ def _read_config_file(path) -> dict:
 
 def _cmd_simulate(args, ltv: bool) -> int:
     config = _effective_config(args, ltv)
-    os.makedirs(args.out, exist_ok=True)
+    if args.write_datasets:  # else `write_experiment` makes it, once the study has passed
+        os.makedirs(args.out, exist_ok=True)
     result = run_experiment(config, dataset_dir=args.out if args.write_datasets else None)
     paths = write_experiment(result, args.out)
     written = len(paths) + (config.runs if args.write_datasets else 0)

@@ -65,7 +65,10 @@ def _write_table(path, header, blocks, comments=()) -> None:
 
     Each block is an array of N rows with one column (1-d) or several
     (2-d).  Float blocks are written at 17 significant digits, integer
-    and boolean blocks as %d, and anything else (labels) as text.
+    and boolean blocks as %d, and anything else (labels) as text.  Every
+    chunk goes through one formatter: a column folded over the chunk is
+    formatted into its row format, and the others, all of them when none
+    is folded, go through `tolist()` and per-row `%`.
     """
     blocks = [np.asarray(b) for b in blocks]
     blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
@@ -83,12 +86,9 @@ def _write_table(path, header, blocks, comments=()) -> None:
             cells, row_fmt = [], []
             for b, fmt, fold in zip(blocks, formats, folds):
                 rows, fold = b[start : start + _CHUNK_ROWS], fold[k]
-                if any(fold):
-                    row_fmt += [fmt % value if same else fmt
-                                for value, same in zip(rows[0].tolist(), fold)]
-                    rows = rows[:, [j for j, same in enumerate(fold) if not same]]
-                else:
-                    row_fmt += [fmt] * len(fold)
+                row_fmt += [fmt % value if same else fmt
+                            for value, same in zip(rows[0].tolist(), fold)]
+                rows = rows[:, [j for j, same in enumerate(fold) if not same]]
                 cells.append(rows.tolist())  # one empty list per row if all are folded
             row_fmt = ",".join(row_fmt) + "\n"
             fh.writelines(row_fmt % tuple(chain.from_iterable(row)) for row in zip(*cells))

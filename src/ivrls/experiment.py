@@ -157,11 +157,13 @@ def run_dataset(dataset: Dataset, spec: EstimatorSpec) -> list[ModeTrace]:
     inconsistent = np.empty((N, modes), dtype=int)
     samples = zip(dataset.X, dataset.y.tolist(), dataset.v_low.tolist(),
                   dataset.v_high.tolist(), drifts)
-    for i, outs in enumerate(_run_modes(base, spec.modes, samples)):
-        bounds[i] = [(out.lower, out.upper, out.refined.lower, out.refined.upper) if mono
-                     else (out.lower, out.upper) for out in outs]
-        inconsistent[i] = [out.inconsistent for out in outs]
-        point[i] = outs[0].point
+    # one scope per run, not per step: an overflow is refused by name, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, outs in enumerate(_run_modes(base, spec.modes, samples)):
+            bounds[i] = [(out.lower, out.upper, out.refined.lower, out.refined.upper) if mono
+                         else (out.lower, out.upper) for out in outs]
+            inconsistent[i] = [out.inconsistent for out in outs]
+            point[i] = outs[0].point
     lower, upper, *refined = np.moveaxis(bounds, 2, 0)  # each (N, modes, n)
     center, radius = _halves(add, upper, lower), _halves(sub, upper, lower)
     return [

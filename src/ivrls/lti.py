@@ -275,6 +275,10 @@ class _RadiusRecursion:
     oldest A advances `top`; when the back stack runs empty, the front is
     folded into suffix products in place.  Both stacks hold window matrices
     together, and no inverse is ever taken.
+
+    The radius is returned unchecked: the box-contract scan of the step
+    that reads it is its one finiteness check, and the step names a
+    non-finite radius as an overflow of this mode.
     """
 
     def __init__(self, n, window):
@@ -317,11 +321,6 @@ class _RadiusRecursion:
             s = k - m * stage.term_width
             radius = np.dot(self.radius_ring[0], anchor)
             radius += np.dot(stage.radii[s:k], stage.abs_rows[s:k])
-        if not all(map(math.isfinite, radius.tolist())):
-            raise ArithmeticError(
-                f"radius overflow at t={t}, m={'exact' if m is None else m}: the "
-                "error bound is no longer finite"
-            )
         if m is not None:
             self.radius_ring.append(radius)
         return radius
@@ -378,6 +377,13 @@ class _Identifier:
         self._rows, self._spare, self.radii = grown, np.empty((size, n)), radii
 
     def _take(self, x, y, v_low, v_high, drift) -> None:
+        """Advance by one sample, or refuse it with the bare cause.
+
+        A new drift box object is checked for its dimension before the RLS
+        step, and taken apart and kept only once `rls_step` has accepted
+        the sample: `drift_bounds` is None exactly while no sample with a
+        drift box has been taken.
+        """
         keep, t = self.keep, self.state.t + 1
         if keep is None and t > MAX_EXACT_HORIZON:
             raise ValueError(f"exact-mode horizon cap {MAX_EXACT_HORIZON} exceeded; "
@@ -392,13 +398,14 @@ class _Identifier:
         if self.term_width not in (None, w):
             given = "given" if drift is not None else "missing"
             raise ValueError(f"drift box {given}, unlike earlier steps")
-        if drift is not None and drift is not self._drift:
-            if drift.dim != n:
-                raise ValueError(f"drift has {drift.dim} components, expected {n}")
-            self._drift, self.drift_bounds = drift, (drift.lower.tolist(), drift.upper.tolist())
-            self._drift_center, self._drift_radius = drift.center, drift.radius
+        new_drift = drift is not None and drift is not self._drift
+        if new_drift and drift.dim != n:
+            raise ValueError(f"drift has {drift.dim} components, expected {n}")
         x = np.asarray(x, dtype=float)
         state = rls_step(self.state, x, y)
+        if new_drift:  # kept once rls_step took the sample: a refused one keeps none
+            self._drift, self.drift_bounds = drift, (drift.lower.tolist(), drift.upper.tolist())
+            self._drift_center, self._drift_radius = drift.center, drift.radius
         q = state.last_q
         # I - q x', not -(q x') with 1 added on the diagonal: negating would
         # turn the zeros an FIR regressor leaves in q x' into -0.0
@@ -441,14 +448,20 @@ class LtiIntervalEstimator:
 
     Every step either carries a drift box or none does: the first step
     fixes which, because the stored terms of the two cases differ in width.
-    Each estimator has its own per-sample stage unless `_run_modes` built
-    it on a stage shared with other modes; there the first mode's step
-    advances the stage and the others read it.
+    `LtiIntervalEstimator(config)` builds its own per-sample stage.
+    `_run_modes` builds a run's one stage and hands it to each mode's
+    estimator in the private `_stage` argument; there the first mode's
+    step advances the stage and the others read it.
+
+    A step refuses a sample with ValueError naming the step, and a radius
+    that is no longer finite with ArithmeticError naming t and m.  Where
+    an overflow is behind the refusal, numpy warns of it first unless the
+    caller keeps it quiet, as `run_dataset` does for a whole run.
     """
 
-    def __init__(self, config: EstimatorConfig):
+    def __init__(self, config: EstimatorConfig, _stage=None):
         self.config = config
-        self._identifier = _Identifier(config.rls, config.theta_prior, (config.m,))
+        self._identifier = _stage or _Identifier(config.rls, config.theta_prior, (config.m,))
         self._t = 0
         self._engine = _RadiusRecursion(config.rls.n, config.m)
         self._refined = config.theta_prior
@@ -488,13 +501,17 @@ class LtiIntervalEstimator:
             lower.setflags(write=False)
             upper.setflags(write=False)
             if monotonic and not self._inconsistent:
-                drift = None if drift is None else stage.drift_bounds
-                refined = _refine(self._refined, lower, upper, drift)
+                refined = _refine(self._refined, lower, upper, stage.drift_bounds)
                 self._inconsistent = refined is None
                 self._refined = refined or self._refined
             else:
                 _check_bounds(lower, upper)
         except ValueError as exc:  # every refusal of this sample names its step
+            # the box-contract scan is the radius's one finiteness check (set once t moved)
+            if self._t > t and not all(map(math.isfinite, radius.tolist())):
+                m = self._engine.window or "exact"
+                raise ArithmeticError(f"radius overflow at t={t + 1}, m={m}: the error bound "
+                                      "is no longer finite") from None
             raise ValueError(f"step {t + 1}: {exc}") from None
         # what IntervalEstimate(...) builds, without its copy and check
         out = object.__new__(IntervalEstimate)
@@ -508,17 +525,16 @@ def _run_modes(base: EstimatorConfig, modes, samples):
     """Step one estimator per mode in `modes` over `samples`, each a tuple
     of `step`'s arguments, and yield each sample's estimates in mode order.
 
-    The estimators share one per-sample stage, which the first mode's step
-    advances and the others read.  As every mode takes a sample before any
-    takes the next, each one's point and raw bounds are those of an
-    estimator of its own, bit for bit in exact mode and for a window m
-    while t <= m.  Past that a window reads its newest m term blocks from a
-    history propagated with more blocks per matrix product than its own,
-    so its bounds may differ from that estimator's by rounding.
+    The run's one per-sample stage is built here, once, and each mode's
+    estimator on it; the first mode's step advances it and the others
+    read it.  As every mode takes a sample before any takes the next,
+    each one's point and raw bounds are those of an estimator of its own,
+    bit for bit in exact mode and for a window m while t <= m.  Past that
+    a window reads its newest m term blocks from a history propagated
+    with more blocks per matrix product than its own, so its bounds may
+    differ from that estimator's by rounding.
     """
-    estimators = [LtiIntervalEstimator(replace(base, m=m)) for m in modes]
-    stage = _Identifier(base.rls, base.theta_prior, [est.config.m for est in estimators])
-    for est in estimators:
-        est._identifier = stage
+    stage = _Identifier(base.rls, base.theta_prior, modes)
+    estimators = [LtiIntervalEstimator(replace(base, m=m), stage) for m in modes]
     for sample in samples:
         yield [est.step(*sample) for est in estimators]

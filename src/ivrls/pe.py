@@ -71,6 +71,9 @@ def pe_levels(X, T: int) -> tuple[float, float]:
     Returns (alpha, beta): the minimum over window starts of the smallest
     eigenvalue of the window Gram sum, and the maximum of the largest.
     alpha > 0 means the sequence is persistently exciting at window T.
+    A window whose Gram would leave the float range is refused, before any
+    Gram is formed, as the covariance replay refuses a regressor: out of
+    range at the window's last step.
     """
     X = _regressors(X)
     N = X.shape[0]
@@ -79,6 +82,15 @@ def pe_levels(X, T: int) -> tuple[float, float]:
         raise ValueError(f"need at least T={T} regressors, got {N}")
     n = X.shape[1]
     starts = N - T + 1
+    # Every partial sum of a window's Gram is at most the window's sum of
+    # squared norms.  Only the flags are kept, so the Grams' peak is not raised.
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.lib.stride_tricks.sliding_window_view(
+            np.einsum("ij,ij->i", X, X), T).sum(axis=1))
+    if not finite.all():
+        t = int(np.argmin(finite)) + T
+        raise ArithmeticError(f"regressor out of range at t={t}: the Gram of the window "
+                              "ending there is not finite")
     # Each window's Gram is W'W, with the bits of W.T @ W on its own: a
     # batched matmul of the window views W' (n x T, no copy) with their
     # transposes takes the same kernel per window.  One fixed-size chunk
@@ -230,9 +242,14 @@ def asymptotic_radius_bound(
             f"window m={m} too short for a bounded certificate: "
             f"c rho^m = {contraction:g} >= 1"
         )
-    b_inf_star = c * eta_q * eta_v / (1.0 - rho)
+    b_inf_star = _b_inf_star(c, rho, eta_q, eta_v)
     limsup_bound = b_inf_star * (1.0 - rho**m) / (1.0 - contraction)
     return limsup_bound, b_inf_star
+
+
+def _b_inf_star(c: float, rho: float, eta_q: float, eta_v: float) -> float:
+    """The full-memory radius bound b_inf_star = c eta_q eta_v / (1 - rho)."""
+    return c * eta_q * eta_v / (1.0 - rho)
 
 
 def eta_q_bound(
@@ -257,7 +274,8 @@ class PeReport:
     """Bundle of excitation levels, eigenvalue bounds, and derived constants.
 
     Fields that cannot be certified from the inputs (no excitation,
-    lam = 1, or no noise level supplied) are NaN rather than omitted.
+    lam = 1, or no noise level supplied) are NaN rather than omitted, and
+    a bound past the float range is inf.
     eta_q is the largest gain norm observed on the analyzed run; the
     b_inf_star field uses it, while b_inf_star_bound uses the closed-form
     eta_q_bound and is therefore never smaller (up to roundoff).
@@ -303,15 +321,21 @@ def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeRep
     """Run every diagnostic on a regressor sequence and bundle the results.
 
     T defaults to 2n.  noise_radius (scalar or per-step array) supplies
-    the noise level eta_v for the asymptotic radius bounds.
+    the noise level eta_v for the asymptotic radius bounds.  b_inf_star
+    and its bound are the formula of `asymptotic_radius_bound`, for the
+    observed and the worst-case gain norm, and nan without a noise level.
+
+    A refusal comes with no numpy warning before it: the analysis runs in
+    one scope that keeps overflow quiet, and `pe_levels` refuses a
+    regressor out of range before a Gram or a norm is formed from it.
+    Where alpha lam^(2T-1) nears or leaves the float range, gamma1 is
+    reported as computed (tiny, or 0), and the links after it that leave
+    the range with it (c, m_star, eta_q_bound, both b_inf_star fields) as
+    inf.
     """
     X = _regressors(X)
     N, n = X.shape
     T = 2 * n if T is None else _integer("T", T, 1)
-    alpha, beta = pe_levels(X, T)
-    norms = np.linalg.norm(X, axis=1)
-    h_min = float(norms.min())
-    h_max = float(norms.max())
     lam = float(lam)
     P0 = np.asarray(P0, dtype=float)
 
@@ -320,32 +344,35 @@ def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeRep
     else:
         eta_v = float(np.max(np.asarray(noise_radius, dtype=float)))
 
-    # Empirical gain norms come from replaying the covariance recursion;
-    # the gain does not depend on the outputs.
-    config = RlsConfig(theta0=np.zeros(n), P0=P0, lam=lam)
-    P = config.P0
-    eta_q = 0.0
-    for t, x in enumerate(X, 1):
-        q, P = _gain_update(P, x, config.lam, t)
-        eta_q = max(eta_q, math.sqrt(np.dot(q, q)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, beta = pe_levels(X, T)
+        norms = np.linalg.norm(X, axis=1)
+        h_min = float(norms.min())
+        h_max = float(norms.max())
 
-    is_pe = alpha > 0.0
-    nan = math.nan
-    if is_pe and lam < 1.0:
-        gamma1, gamma2, delta1, delta2 = gamma_bounds(X, T, lam, P0, alpha, beta)
-        c, rho = contraction_constants(n, gamma1, gamma2, lam)
-        mstar = m_star(n, gamma1, gamma2, lam)
-        qbound = eta_q_bound(gamma1, gamma2, lam, h_min, h_max)
-        if math.isnan(eta_v):
-            b_inf = b_inf_bound = nan
+        # Empirical gain norms come from replaying the covariance recursion;
+        # the gain does not depend on the outputs.
+        config = RlsConfig(theta0=np.zeros(n), P0=P0, lam=lam)
+        P = config.P0
+        eta_q = 0.0
+        for t, x in enumerate(X, 1):
+            q, P = _gain_update(P, x, config.lam, t)
+            eta_q = max(eta_q, math.sqrt(np.dot(q, q)))
+
+        is_pe = alpha > 0.0
+        nan = math.nan
+        if is_pe and lam < 1.0:
+            gamma1, gamma2, delta1, delta2 = gamma_bounds(X, T, lam, P0, alpha, beta)
+            if gamma1 > 0.0:
+                c, rho = contraction_constants(n, gamma1, gamma2, lam)
+                mstar = m_star(n, gamma1, gamma2, lam)
+                qbound = eta_q_bound(gamma1, gamma2, lam, h_min, h_max)
+            else:  # alpha lam^(2T-1) underflowed to 0: inf bounds c, m* and the gain
+                rho, c, mstar, qbound = math.sqrt(lam), math.inf, math.inf, math.inf
+            b_inf, b_inf_bound = (_b_inf_star(c, rho, eta, eta_v) for eta in (eta_q, qbound))
         else:
-            # the same b_inf_star formula, with the observed and the worst-case gain
-            m = math.ceil(mstar) + 1
-            _, b_inf = asymptotic_radius_bound(c, rho, eta_q, eta_v, m)
-            _, b_inf_bound = asymptotic_radius_bound(c, rho, qbound, eta_v, m)
-    else:
-        gamma1 = gamma2 = delta1 = delta2 = nan
-        c = rho = mstar = qbound = b_inf = b_inf_bound = nan
+            gamma1 = gamma2 = delta1 = delta2 = nan
+            c = rho = mstar = qbound = b_inf = b_inf_bound = nan
 
     return PeReport(
         n=n,

@@ -130,16 +130,18 @@ def _simulate(
     # run builds no list of floats that would raise peak RSS.
     lags = [-0.0] * n_a
     y = np.empty(N)
-    for i, (row, theta, v_i) in enumerate(zip(X, theta_path, v.tolist())):
-        row[:n_a] = lags
-        y_i = float(np.dot(row, theta)) + v_i
-        if not math.isfinite(y_i):
-            raise ValueError(
-                f"simulated output diverged (non-finite y) at t={i + 1}; "
-                "the chosen parameters make the closed recursion unstable"
-            )
-        y[i] = y_i
-        lags = [-y_i, *lags][:n_a]
+    # one scope per run: a diverging output is refused by name, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (row, theta, v_i) in enumerate(zip(X, theta_path, v.tolist())):
+            row[:n_a] = lags
+            y_i = float(np.dot(row, theta)) + v_i
+            if not math.isfinite(y_i):
+                raise ValueError(
+                    f"simulated output diverged (non-finite y) at t={i + 1}; "
+                    "the chosen parameters make the closed recursion unstable"
+                )
+            y[i] = y_i
+            lags = [-y_i, *lags][:n_a]
     a = config.noise_half_width
     return Dataset(
         t=np.arange(1, N + 1),

@@ -9,12 +9,14 @@ formats every cell of every row, and the ARX oracle builds each sample's
 lagged outputs from a zero-padded output array.
 """
 
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 import pytest
 
 import ivrls.experiment
+from ivrls.data import Dataset
 from ivrls.experiment import ModeTrace, estimator_config, mode_label
 from ivrls.intervals import IntervalVector
 from ivrls.lti import LtiIntervalEstimator
@@ -156,6 +158,70 @@ def vertex_oracle(X, y, v_bounds, theta_prior, rls_config, drifts=None, method="
     return IntervalVector(theta_t - err_hi, theta_t - err_lo)
 
 
+def rational_boxes(X, y, v_bounds, theta_prior, rls_config, modes=(None,), drifts=None):
+    """The exact raw box of every step t = 1..len(y) of each mode, in
+    fractions.Fraction: by mode, a list of (lower, upper) lists.
+
+    The closed-form hull of `vertex_oracle`, center and |M| r, over the
+    error map of the run's own gains: q(k) as the run computed it, which
+    `collect_run` reproduces bit for bit, and A(k) = I - q(k) x(k)'.  Every
+    float is an exact binary fraction, so every product and sum here is
+    exact, and a float box is sound for the run only if it contains this
+    one.  The columns of [Phi(t,0) | Phi(t,k) B(k) ...] are propagated one
+    A(t) at a time, for every mode at once; window m (None for exact)
+    takes the exact sum while t <= m, and after that |Phi(t,t-m)| r_m(t-m)
+    plus the newest m blocks, with Phi(t,t-m) multiplied out directly.
+    """
+    n, T = rls_config.n, len(y)
+    X = np.asarray(X, dtype=float).reshape(T, n)
+    _, _, _, qs = collect_run(rls_config, X, y)
+
+    def halves(lower, upper):
+        lower, upper = [Fraction(a) for a in lower], [Fraction(b) for b in upper]
+        return ([(b + a) / 2 for a, b in zip(lower, upper)],
+                [(b - a) / 2 for a, b in zip(lower, upper)])
+
+    def times(A, v):
+        return [sum(a * b for a, b in zip(row, v)) for row in A]
+
+    def weighted(columns, weights):
+        return [sum(abs(col[i]) * r for col, r in zip(columns, weights)) for i in range(n)]
+
+    center, r0 = halves(theta_prior.lower, theta_prior.upper)
+    # signed columns with the radius each multiplies, one block per step
+    blocks = [[([Fraction(int(i == j)) for i in range(n)], r) for j, r in enumerate(r0)]]
+    As, boxes = [], {m: [] for m in modes}
+    radii = {m: [] for m in modes}
+    for k in range(T):
+        q, x = [Fraction(v) for v in qs[k]], [Fraction(v) for v in X[k]]
+        A = [[int(i == j) - q[i] * x[j] for j in range(n)] for i in range(n)]
+        c_v, r_v = halves(v_bounds[k][:1], v_bounds[k][1:])
+        shift = center
+        block = [(q, r_v[0])]
+        if drifts is not None:
+            c_d, r_d = halves(drifts[k].lower, drifts[k].upper)
+            shift = [a + b for a, b in zip(center, c_d)]
+            block += [([-A[i][j] for i in range(n)], r_d[j]) for j in range(n)]
+        center = [a + qi * (Fraction(y[k]) - c_v[0]) for a, qi in zip(times(A, shift), q)]
+        blocks = [[(times(A, col), r) for col, r in b] for b in blocks] + [block]
+        As.append(A)
+        t = k + 1
+        for m in modes:
+            if m is None or t <= m:
+                radius = weighted(*zip(*(term for b in blocks for term in b)))
+            else:
+                anchor = list(zip(*As[t - m]))  # Phi(t,t-m) by columns
+                for A_j in As[t - m + 1 : t]:
+                    anchor = [times(A_j, col) for col in anchor]
+                radius = [a + b for a, b in zip(weighted(anchor, radii[m][t - m - 1]),
+                                                weighted(*zip(*(term for b in blocks[-m:]
+                                                                for term in b))))]
+            radii[m].append(radius)
+            boxes[m].append(([c - r for c, r in zip(center, radius)],
+                             [c + r for c, r in zip(center, radius)]))
+    return boxes
+
+
 def mode_major_run_dataset(dataset, config):
     """`run_dataset` as a mode-major loop: one estimator with its own
     identifier per mode, each stepped through the whole dataset in turn."""
@@ -230,6 +296,19 @@ def rowwise_write_table(path, header, blocks, comments=()):
         for cells in zip(*(b.tolist() for b in blocks)):
             fh.write(row_fmt % tuple(chain.from_iterable(cells)))
         fh.writelines(f"# {line}\n" for line in comments)
+
+
+def diverging_log():
+    """3000 samples on which the radius of window 1 at lambda 0.1 overflows
+    at t = 1078: per row x = 3 normal(4), then y = normal(), from
+    default_rng(0), with noise bounds [-0.1, 0.1]."""
+    r = np.random.default_rng(0)
+    X, y = np.empty((3000, 4)), np.empty(3000)
+    for i in range(3000):
+        X[i] = 3 * r.normal(size=4)
+        y[i] = r.normal()
+    return Dataset(t=np.arange(1, 3001), X=X, y=y, v_low=np.full(3000, -0.1),
+                   v_high=np.full(3000, 0.1))
 
 
 def padded_arx(u, v, theta_path, n_a, n_b):

@@ -11,6 +11,8 @@ from ivrls import cli, experiment, simulate
 from ivrls.cli import main
 from ivrls.simulate import SimConfig, generate_lti
 
+from helpers import diverging_log
+
 
 SIM_ARGS = ["--runs", "2", "--horizon", "30", "--modes", "exact,10"]
 
@@ -381,6 +383,31 @@ def test_an_overflowing_regressor_prints_the_error_line_alone(tmp_path):
     lines += [f"{t},0.5,{1e200 if t == 5 else 1.0},-0.1,0.1" for t in range(1, 11)]
     assert _estimate_in_a_subprocess(tmp_path, lines, "--m", "5") == (
         1, "error: regressor out of range at t=5: the gain denominator lam + x'Px is inf\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, error", [
+    (["estimate", "--in", "diverge.csv", "--m", "1", "--lambda", "0.1"],
+     "radius overflow at t=1078, m=1: the error bound is no longer finite"),
+    (["simulate-lti", "--seed", "1", "--runs", "1", "--horizon", "400",
+      "--theta-true=-12,0,1,0"],
+     "simulated output diverged (non-finite y) at t=288; the chosen parameters make the "
+     "closed recursion unstable"),
+    (["analyze-pe", "--in", "huge.csv", "--window", "3"],
+     "regressor out of range at t=5: the Gram of the window ending there is not finite"),
+])
+def test_an_overflow_is_refused_with_the_error_line_alone(argv, error, tmp_path, monkeypatch,
+                                                          capsys):
+    # numpy overflows before each of these is refused; a warning is an
+    # error here, and a failed study leaves no empty --out behind
+    monkeypatch.chdir(tmp_path)
+    diverging_log().to_csv("diverge.csv")
+    lines = ["t,y,x_1,v_lo,v_hi"]
+    lines += [f"{t},0.5,{1e200 if t == 5 else 1.0},-0.1,0.1" for t in range(1, 11)]
+    (tmp_path / "huge.csv").write_text("\n".join(lines) + "\n")
+    assert main(argv + ["--out", "o"]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_estimate_builds_no_study_config(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import ivrls.experiment
 from ivrls import lti
+from ivrls.data import Dataset
 from ivrls.experiment import (
     ExperimentResult,
     ModeTrace,
@@ -31,7 +32,7 @@ from ivrls.simulate import (
     generate_ltv,
 )
 
-from helpers import mode_major_run_dataset, study_with_traces, vertex_oracle
+from helpers import diverging_log, mode_major_run_dataset, study_with_traces, vertex_oracle
 
 
 def small_config(**kwargs):
@@ -447,3 +448,22 @@ def test_an_exact_run_beyond_the_cap_is_refused_before_step_1(monkeypatch):
     assert calls == []
     # only an exact mode is capped
     assert len(run_dataset(ds, EstimatorSpec(modes=(20,)))[0].t) == 40 and len(calls) == 40
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_run_refuses_an_overflowing_radius_without_a_numpy_warning():
+    # numpy overflows in the window's anchor product first; the run keeps
+    # that quiet, and the step's one finiteness check names the overflow
+    with pytest.raises(ArithmeticError, match=r"^radius overflow at t=1078, m=1: "
+                                              r"the error bound is no longer finite$"):
+        run_dataset(diverging_log(), EstimatorSpec(lam=0.1, modes=(1,)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("monotonic", [False, True])
+def test_a_run_refuses_an_overflowing_center_without_a_numpy_warning(monotonic):
+    # a zero-width drift box of 1e308 moves the center past DBL_MAX at step 2
+    ds = Dataset(t=[1, 2], X=[[0.0], [0.0]], y=[0.0, 0.0], v_low=[-0.1, -0.1],
+                 v_high=[0.1, 0.1], delta_low=[[1e308]] * 2, delta_high=[[1e308]] * 2)
+    with pytest.raises(ValueError, match=r"^step 2: .*non-finite bound\) at components \[0\]"):
+        run_dataset(ds, EstimatorSpec(modes=(3, None), monotonic=monotonic))

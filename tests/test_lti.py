@@ -704,6 +704,35 @@ def test_noise_near_dbl_max_reaches_the_box_contract(monotonic):
     assert np.isfinite(est._identifier.full).all() and est._identifier.radii[1] == 1.5e308
 
 
+def test_a_run_builds_its_one_stage_once(monkeypatch):
+    # the estimators of a run's modes are built on the run's stage; a
+    # standalone estimator builds a stage of its own
+    built = []
+    real_init = lti._Identifier.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(lti._Identifier, "__init__", counting)
+    rls = RlsConfig(theta0=np.zeros(2), P0=np.eye(2), lam=0.9)
+    samples = [(np.array([1.0, 0.5]), 0.2, -0.1, 0.1)] * 3
+    assert len(list(shared_run(rls, (1, 3, None), samples))) == 3
+    assert len(built) == 1
+    LtiIntervalEstimator(make_config(n=2))
+    assert len(built) == 2
+
+
+def test_a_drift_box_is_kept_only_with_a_sample_the_stage_took():
+    est = LtiIntervalEstimator(make_config(n=2, monotonic=True))
+    drift = IntervalVector([1.0, 1.0], [2.0, 2.0])
+    with pytest.raises(ValueError, match="^step 1: x must be finite"):
+        est.step([np.nan, 0.0], 0.0, -0.1, 0.1, drift)
+    assert est._identifier.drift_bounds is None
+    est.step([1.0, 0.0], 0.0, -0.1, 0.1, drift)
+    assert est._identifier.drift_bounds == ([1.0, 1.0], [2.0, 2.0])
+
+
 def test_standalone_estimator_is_a_stage_of_one():
     a = LtiIntervalEstimator(make_config(n=2))
     b = LtiIntervalEstimator(make_config(n=2))

@@ -294,6 +294,53 @@ def test_analyze_rejects_bad_regressors_and_covariance():
         analyze(X, lam=0.9, P0=np.eye(2))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_window_gram_past_the_float_range_is_refused_before_it_is_formed():
+    # x_1 = 1e200 at t = 5, and a regressor that grows tenfold per step so
+    # slowly that the replay's x'Px stays in range while x_2^2 overflows
+    huge = np.ones((10, 1))
+    huge[4] = 1e200
+    grow = np.array([[10.0 ** (4 * t), (-1) ** t * 10.0 ** (4 * t)] for t in range(1, 60)])
+    for X, T, t in ((huge, 3, 5), (huge, 1, 5), (grow, 3, 39)):
+        message = rf"^regressor out of range at t={t}: the Gram of the window ending there "
+        with pytest.raises(ArithmeticError, match=message):
+            pe_levels(X, T)
+        with pytest.raises(ArithmeticError, match=message):
+            analyze(X, lam=0.99, P0=1000.0 * np.eye(X.shape[1]), T=T, noise_radius=0.1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("T", [150, 155, 165])
+def test_analyze_reports_inf_where_the_chain_leaves_the_float_range(T):
+    # gamma1 = alpha lam^(2T-1) at lam 0.1: 2.4e-298 at T = 150, 2.6e-308
+    # at T = 155, where c = sqrt(n gamma2 / gamma1) overflows, and 0 at T = 165
+    ds = generate_lti(SimConfig(horizon=300), seed=0)
+    P0 = 1000.0 * np.eye(4)
+    report = analyze(ds.X, lam=0.1, P0=P0, T=T, noise_radius=0.2)
+    assert report.is_pe
+    assert report.gamma1 == gamma_bounds(ds.X, T, 0.1, P0, report.alpha, report.beta)[0]
+    assert report.gamma1 == report.alpha * 0.1 ** (2 * T - 1)
+    assert report.rho == math.sqrt(0.1) and report.b_inf_star_bound == math.inf
+    if T == 150:  # in range: the chain of the public certificates
+        assert report.c == contraction_constants(4, report.gamma1, report.gamma2, 0.1)[0]
+        assert report.m_star == m_star(4, report.gamma1, report.gamma2, 0.1) < math.inf
+        assert math.isfinite(report.b_inf_star)
+    else:
+        assert (report.gamma1 > 0.0) == (T == 155)
+        assert [report.c, report.m_star, report.eta_q_bound, report.b_inf_star] == [math.inf] * 4
+
+
+def test_analyze_pe_writes_m_star_inf_past_the_float_range(tmp_path, capsys):
+    ds_path = tmp_path / "ds.csv"
+    generate_lti(SimConfig(horizon=300), seed=0).to_csv(ds_path)
+    out = tmp_path / "pe"
+    argv = ["analyze-pe", "--in", str(ds_path), "--out", str(out), "--lambda", "0.1"]
+    assert main(argv + ["--window", "165"]) == 0
+    lines = (out / "pe_report.txt").read_text().splitlines()
+    assert "gamma1=0" in lines and "m_star=inf" in lines and "b_inf_star=inf" in lines
+    assert capsys.readouterr().err == ""
+
+
 X3 = np.eye(2)[[0, 1, 0]]
 
 

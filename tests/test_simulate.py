@@ -150,7 +150,6 @@ def test_zero_noise_width():
     np.testing.assert_array_equal(ds.v_low, np.zeros(30))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_unstable_plant_reports_divergence_time():
     config = SimConfig(theta_true=(-12.0, 0.0, 1.0, 0.0), horizon=400)
     with pytest.raises(ValueError, match=r"t=\d+"):
