@@ -14,9 +14,12 @@ CSV layout (header mandatory, one row per step):
 
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly; equal datasets therefore produce byte-identical files.
-Rows are formatted in chunks of `_CHUNK_ROWS`, and a numeric column whose
+Rows are formatted in chunks of `_CHUNK_ROWS`.  A numeric column whose
 bits stay the same over a chunk (0.0 and -0.0 differ) is formatted once
-for it, which writes the same bytes as formatting every row.
+for it.  A float column that repeats an earlier one a row later, as the
+regressor of an ARX log repeats -y and its own entries, takes that
+column's text one row down, with the sign toggled for a negated lag.
+Both write the same bytes as formatting every row.
 The reader skips '#' comment and blank lines and accepts CRLF endings.
 It, `Dataset.validate` and a float t given to `Dataset` or to
 `write_estimates_csv` are held to one set of value rules, `_first_break`,
@@ -29,22 +32,24 @@ from __future__ import annotations
 import re
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
 
 __all__ = ["Dataset", "write_estimates_csv"]
 
-# Rows formatted per `tolist()` call.  A chunk is held as Python floats,
-# so it is kept small: on a 30-column trace 128 rows raise peak RSS by
-# about 0.6 MB, 512 rows by about 2.4 MB, at the same speed.  A numeric
-# column that holds the same bits on every row of a chunk is formatted
-# once into that chunk's row format.  At about 0.5 us per `%.17g` value
-# (2 vCPU, Python 3.11, numpy 2.4) that takes the 10^4-row reference log,
-# 6 of whose 12 float columns never change, from 66 to 43 ms, and an
-# m = 2000 estimate CSV of it, whose 8 refined-box columns stay the same
-# over most chunks, from 146 to 116 ms (best of 5-7).
+# Rows formatted per chunk.  A chunk is held as Python floats, so it is
+# kept small: on a 30-column trace 128 rows raise peak RSS by about
+# 0.6 MB, 512 rows by about 2.4 MB, at the same speed.  A float costs
+# about 0.37 us in the row format at `%.17g`, against 0.08 us as text and
+# 0.09 us to negate text (2 vCPU, Python 3.11, numpy 2.4).  So folding a
+# constant column, and shifting a lag's text, pay off.  In the 10^4-row
+# reference log 6 of the 12 float columns never change and x_1, x_2, x_4
+# are lags; with rows built from per-column lists its write takes 31 ms
+# against 49 ms when only the constant columns were folded, and an
+# m = 2000 estimate CSV of it (no lags; its 8 refined-box columns stay the
+# same over most chunks) 115 ms against 123-131 ms (best of 9).
 _CHUNK_ROWS = 128
 _FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
 
@@ -55,9 +60,32 @@ def _chunk_folds(block: np.ndarray, chunks: int) -> np.ndarray:
     0.0 and -0.0 never count as the same."""
     bits = block.view(f"u{block.dtype.itemsize}")
     same = np.ones((chunks * _CHUNK_ROWS, block.shape[1]), dtype=bool)
-    same[1 : len(block)] = bits[1:] == bits[:-1]
+    np.equal(bits[1:], bits[:-1], out=same[1 : len(block)])
     same[::_CHUNK_ROWS] = True  # a chunk's first row starts its own run
     return same.reshape(chunks, _CHUNK_ROWS, block.shape[1]).all(axis=1)
+
+
+def _chunk_lags(columns, floats, folded, start, stop) -> dict:
+    """{j: (p, negated)} over the chunk of rows start..stop-1: each float64
+    column j not folded there whose bits on rows start+1..stop-1 are those
+    of an earlier float64 column p one row earlier, or those with the sign
+    bit flipped (negated), while p is finite there.  `floats` indexes the
+    float64 columns.  Only the pairs that lag on the chunk's first two rows
+    are checked over the whole chunk, and j takes the first p that passes."""
+    if len(floats) < 2 or stop - start < 2:
+        return {}
+    heads = np.array([columns[j][start : start + 2] for j in floats]).view(np.uint64)
+    near = ((heads[:, 1, None] ^ heads[:, 0]) << 1) == 0  # equal up to the sign bit
+    lags = {}
+    for a, b in np.argwhere(np.tril(near, -1)).tolist():
+        j, p = floats[a], floats[b]
+        if j in lags or folded[j]:
+            continue
+        partner = columns[p][start : stop - 1]
+        diff = columns[j][start + 1 : stop].view(np.uint64) ^ partner.view(np.uint64)
+        if (diff == diff[0]).all() and np.isfinite(partner).all():
+            lags[j] = p, bool(diff[0])
+    return lags
 
 
 def _write_table(path, header, blocks, comments=()) -> None:
@@ -66,9 +94,11 @@ def _write_table(path, header, blocks, comments=()) -> None:
     Each block is an array of N rows with one column (1-d) or several
     (2-d).  Float blocks are written at 17 significant digits, integer
     and boolean blocks as %d, and anything else (labels) as text.  Every
-    chunk goes through one formatter: a column folded over the chunk is
-    formatted into its row format, and the others, all of them when none
-    is folded, go through `tolist()` and per-row `%`.
+    chunk goes through one row format: a column folded over the chunk is
+    formatted once into it; a lag column (`_chunk_lags`) and its partner
+    enter it as text, the lag's being the partner's one row down with
+    its first row formatted itself; every other column enters it as
+    values, formatted by per-row `%`.
     """
     blocks = [np.asarray(b) for b in blocks]
     blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
@@ -76,22 +106,43 @@ def _write_table(path, header, blocks, comments=()) -> None:
         raise ValueError(f"table columns differ in length: {[b.shape[0] for b in blocks]}")
     N = blocks[0].shape[0]
     chunks = -(-N // _CHUNK_ROWS)
-    formats = [_FORMATS.get(b.dtype.kind, "%s") for b in blocks]
     # labels are never folded: their text may hold a '%'
-    folds = [[[False] * b.shape[1]] * chunks if fmt == "%s"
-             else _chunk_folds(b, chunks).tolist() for b, fmt in zip(blocks, formats)]
+    folds = np.concatenate([_chunk_folds(b, chunks) if b.dtype.kind in _FORMATS
+                            else np.zeros((chunks, b.shape[1]), dtype=bool) for b in blocks],
+                           axis=1).tolist()
+    formats = [_FORMATS.get(b.dtype.kind, "%s") for b in blocks for _ in range(b.shape[1])]
+    columns = [column for b in blocks for column in b.T]
+    floats = [j for j, column in enumerate(columns) if column.dtype == np.float64]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for k, start in enumerate(range(0, N, _CHUNK_ROWS)):
-            cells, row_fmt = [], []
-            for b, fmt, fold in zip(blocks, formats, folds):
-                rows, fold = b[start : start + _CHUNK_ROWS], fold[k]
-                row_fmt += [fmt % value if same else fmt
-                            for value, same in zip(rows[0].tolist(), fold)]
-                rows = rows[:, [j for j, same in enumerate(fold) if not same]]
-                cells.append(rows.tolist())  # one empty list per row if all are folded
+        for start, folded in zip(range(0, N, _CHUNK_ROWS), folds):
+            stop = min(start + _CHUNK_ROWS, N)
+            lags = _chunk_lags(columns, floats, folded, start, stop)
+            partners = {p for p, _ in lags.values()}
+            row_fmt, cells, texts = [], [], {}
+            for j, (column, fmt, same) in enumerate(zip(columns, formats, folded)):
+                if same:
+                    row_fmt.append(fmt % column[start].item())
+                    if j in partners:
+                        texts[j] = [row_fmt[-1]] * (stop - start)
+                    continue
+                if j in lags:
+                    p, negated = lags[j]
+                    text = texts[p][:-1]
+                    if negated:
+                        text = [s[1:] if s[0] == "-" else "-" + s for s in text]
+                    texts[j] = [fmt % column[start].item(), *text]
+                elif j in partners:
+                    texts[j] = [fmt % value for value in column[start:stop].tolist()]
+                else:
+                    row_fmt.append(fmt)
+                    cells.append(column[start:stop].tolist())
+                    continue
+                row_fmt.append("%s")
+                cells.append(texts[j])
             row_fmt = ",".join(row_fmt) + "\n"
-            fh.writelines(row_fmt % tuple(chain.from_iterable(row)) for row in zip(*cells))
+            rows = zip(*cells) if cells else repeat((), stop - start)  # all folded
+            fh.writelines(row_fmt % row for row in rows)
         fh.writelines(f"# {line}\n" for line in comments)
 
 

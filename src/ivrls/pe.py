@@ -248,7 +248,11 @@ def asymptotic_radius_bound(
 
 
 def _b_inf_star(c: float, rho: float, eta_q: float, eta_v: float) -> float:
-    """The full-memory radius bound b_inf_star = c eta_q eta_v / (1 - rho)."""
+    """The full-memory radius bound b_inf_star = c eta_q eta_v / (1 - rho).
+    Without noise (eta_v = 0) it is 0 for any c and eta_q, inf included,
+    where the product would read inf * 0 = nan."""
+    if eta_v == 0.0:
+        return 0.0
     return c * eta_q * eta_v / (1.0 - rho)
 
 
@@ -331,7 +335,7 @@ def analyze(X, lam: float, P0, T: int | None = None, noise_radius=None) -> PeRep
     Where alpha lam^(2T-1) nears or leaves the float range, gamma1 is
     reported as computed (tiny, or 0), and the links after it that leave
     the range with it (c, m_star, eta_q_bound, both b_inf_star fields) as
-    inf.
+    inf; without noise (eta_v = 0) both b_inf_star fields stay 0.
     """
     X = _regressors(X)
     N, n = X.shape

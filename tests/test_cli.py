@@ -454,6 +454,22 @@ def test_analyze_pe_takes_eta_v_as_the_noise_radius(tmp_path):
     assert reports[1] == reports[0]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("window, c", [("150", "5.6677092400958962e+150"), ("165", "inf")])
+def test_analyze_pe_bounds_noise_free_data_by_zero(window, c, tmp_path, capsys):
+    # without noise b_inf_star and its bound are 0 for any c: at window 150
+    # c eta_q_bound overflows, and at 165 c itself is inf (gamma1 = 0)
+    argv = ["simulate-lti", "--seed", "0", "--runs", "1", "--horizon", "300",
+            "--noise-half-width", "0", "--write-datasets", "--out", str(tmp_path / "sim")]
+    assert main(argv) == 0
+    out = tmp_path / "pe"
+    assert main(["analyze-pe", "--in", str(tmp_path / "sim" / "dataset_run000.csv"),
+                 "--out", str(out), "--lambda", "0.1", "--window", window]) == 0
+    lines = (out / "pe_report.txt").read_text().splitlines()
+    assert {f"c={c}", "eta_v=0", "b_inf_star=0", "b_inf_star_bound=0"} <= set(lines)
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_lambda_subcommand(tmp_path):
     out = tmp_path / "sw"
     rc = main(

@@ -1,11 +1,14 @@
+import os
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import rowwise_write_table
-from ivrls.data import _CHUNK_ROWS, Dataset, _chunk_folds, _write_table, write_estimates_csv
+from ivrls.data import (_CHUNK_ROWS, Dataset, _chunk_folds, _chunk_lags, _write_table,
+                        write_estimates_csv)
 
 
 def make_dataset(rng, N=12, n=3, with_v=True, with_theta=True, with_delta=False):
@@ -183,8 +186,39 @@ def _constant_table(N):
     return ["t", "a_1", "a_2", "z", "flag"], blocks
 
 
+def _lag(column, first):
+    """`column` one row down, `first` on top."""
+    return np.concatenate([[first], column[:-1]])[: len(column)]
+
+
+def _lagged_table(N):
+    """Lag columns as in an ARX log, and their edge cases.  Floats, in
+    order: y; x_1 = -y and x_2 = x_1, each one row down (a chain); z holding
+    0.0, -0.0 and 1.5, and w = -z one row down; s, inf and nan (of both
+    signs) in the first and third chunks only, and u = -s one row down,
+    whose negated nan prints as 'nan', not '-nan'; b = x_2 one row down but
+    for row 200, mid-chunk; f folded over the first chunk, and g = f one
+    row down but for row 0."""
+    rng = np.random.default_rng(N + 1)
+    y = rng.normal(size=N)
+    x = np.empty((N, 2))
+    x[:, 0] = -_lag(y, 0.0)
+    x[:, 1] = _lag(x[:, 0], -0.0)
+    z = rng.choice([0.0, -0.0, 1.5], size=N)
+    s = rng.normal(size=N)
+    for row, value in [(3, np.nan), (50, -np.nan), (260, np.inf), (270, -np.inf)]:
+        s[row : row + 1] = value
+    b = _lag(x[:, 1], 2.0)
+    b[200:201] = 0.125
+    f = np.where(np.arange(N) < _CHUNK_ROWS, 0.25, rng.normal(size=N))
+    floats = np.column_stack([z, -_lag(z, 1.0), s, -_lag(s, 0.0), b, f, _lag(f, 9.0)])
+    blocks = [np.arange(1, N + 1), y, x, floats, np.array(["a%", "b"] * N)[:N]]
+    header = ["t", "y", "x_1", "x_2", "z", "w", "s", "u", "b", "f", "g", "label"]
+    return header, blocks
+
+
 @pytest.mark.parametrize("N", [0, 1, 127, 128, 129, 300])
-@pytest.mark.parametrize("table", [_mixed_table, _constant_table])
+@pytest.mark.parametrize("table", [_mixed_table, _constant_table, _lagged_table])
 def test_the_writer_writes_the_bytes_of_the_row_by_row_oracle(table, N, tmp_path):
     header, blocks = table(N)
     _write_table(tmp_path / "table.csv", header, blocks, ["audit x=1", "100% of rows"])
@@ -203,6 +237,48 @@ def test_a_column_is_folded_only_over_chunks_where_its_bits_stay_the_same():
                               [False, False, False, True, True],
                               [True, True, True, True, True]]
     assert _chunk_folds(blocks[0][:, None], 3)[:, 0].tolist() == [False, False, True]
+
+
+def test_a_column_lags_only_over_chunks_where_it_holds_its_partners_text():
+    header, blocks = _lagged_table(300)
+    columns = [column for b in blocks for column in (b.T if b.ndim == 2 else [b])]
+    floats = list(range(1, 11))  # y..g: the float64 columns
+    folded = [False] * 12
+    lags = [_chunk_lags(columns, floats, folded, start, min(start + _CHUNK_ROWS, 300))
+            for start in range(0, 300, _CHUNK_ROWS)]
+    named = [{header[j]: (header[p], negated) for j, (p, negated) in chunk.items()}
+             for chunk in lags]
+    chain = {"x_1": ("y", True), "x_2": ("x_1", False), "w": ("z", True), "g": ("f", False)}
+    # u lags s only in the second chunk, where s is finite, and b lags x_2
+    # but in the second chunk, which row 200 breaks
+    assert named == [{**chain, "b": ("x_2", False)},
+                     {**chain, "u": ("s", True)},
+                     {**chain, "b": ("x_2", False)}]
+    # a folded column is never a lag, but stays a partner
+    folded[header.index("x_2")] = True
+    assert _chunk_lags(columns, floats, folded, 0, _CHUNK_ROWS)[header.index("b")] == (3, False)
+    assert header.index("x_2") not in _chunk_lags(columns, floats, folded, 0, _CHUNK_ROWS)
+    # a chunk of one row has no lags
+    assert _chunk_lags(columns, floats, folded, 299, 300) == {}
+
+
+def test_the_writer_holds_a_few_chunks_not_the_table():
+    """Writing 10^4 rows of 29 float columns (2.3 MB as float64, with two
+    lag columns) peaks at a few chunks of Python floats and their text,
+    not at a copy of the table."""
+    rng = np.random.default_rng(0)
+    N = 10_000
+    y, floats = rng.normal(size=N), rng.normal(size=(N, 28))
+    floats[:, 0], floats[:, 1] = -_lag(y, 0.0), _lag(-_lag(y, 0.0), 0.0)
+    chunk = _CHUNK_ROWS * 29 * 32  # a float object and its list slot per value
+    tracemalloc.start()
+    try:
+        _write_table(os.devnull, ["t", "y", *(f"x_{j}" for j in range(1, 29))],
+                     [np.arange(N), y, floats])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * chunk, (peak, chunk)
 
 
 def test_partial_optional_group_rejected(tmp_path):

@@ -6,9 +6,13 @@ temporary directory of its own, so neither checkout is written to.  The
 list covers every subcommand: the two studies with their datasets, with
 refinement off, with two workers and with other modes and horizon; the
 estimator on a constant and a drifting dataset; the excitation report;
-a forgetting-factor sweep; and a 3000-sample log and its estimates, whose
+a forgetting-factor sweep; a 3000-sample log and its estimates, whose
 constant columns (noise bounds, true parameter, and the refined box over
-most 128-row chunks) exercise the CSV writer's once-per-chunk formatting.
+most 128-row chunks) exercise the CSV writer's once-per-chunk formatting;
+a 3000-sample drifting log, whose drift boxes are constant columns too;
+and a log with one output lag and three input lags, whose regressor
+columns are lags of one another as in every ARX log, which the writer
+formats once and shifts down one row.
 Later commands read the datasets the earlier ones wrote on the same side.
 
 Every file either side wrote is compared, and so is each command's exit
@@ -47,6 +51,9 @@ COMMANDS = (
     "sweep-lambda --seed 3 --out sweep --lambdas 0.5,0.9,0.99",
     "simulate-lti --seed 3 --runs 1 --horizon 3000 --modes 50 --out long --write-datasets",
     f"estimate --in {DATA[2]} --out est_long --m 50",
+    "simulate-ltv --seed 5 --runs 1 --horizon 3000 --modes 5 --out long_ltv --write-datasets",
+    "simulate-lti --seed 3 --runs 1 --horizon 1000 --na 1 --nb 3 --theta-true=-0.5,1,0.5,0.25"
+    " --modes 50 --out lags --write-datasets",
 )
 
 
